@@ -1,8 +1,10 @@
 """Command-line front end: load spaces, run analyses, emit JSON reports.
 
 Exit codes are a stable contract:
-  0 success, 2 malformed input, 3 dependent basis, 4 census membership
-  failure, 5 enumeration guard exceeded, 10 rank-bound violation.
+  0 success, 2 malformed input (including a malformed REFLEXFF_GUARD and
+  an exhaustive search with --jobs below 1), 3 dependent basis, 4 census
+  membership failure, 5 enumeration guard exceeded, 10 rank-bound
+  violation.
 Reports go to stdout as pure JSON unless --output or --pretty is given;
 diagnostics go to stderr.
 """
@@ -278,10 +280,18 @@ def main(argv=None) -> int:
         print(f"error: {e}", file=sys.stderr)
         return 5
     except TheoremViolation as e:
-        with open(VIOLATION_DUMP, "w", encoding="utf-8") as fh:
-            fh.write(dumps(e.report.to_dict()))
-        print(f"THEOREM VIOLATION: report dumped to {VIOLATION_DUMP}",
-              file=sys.stderr)
+        text = dumps(e.report.to_dict())
+        try:
+            with open(VIOLATION_DUMP, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as err:
+            # the report is the only evidence of the breach: never lose it
+            print(f"THEOREM VIOLATION: cannot write {VIOLATION_DUMP} ({err}); "
+                  "report follows", file=sys.stderr)
+            sys.stderr.write(text)
+        else:
+            print(f"THEOREM VIOLATION: report dumped to {VIOLATION_DUMP}",
+                  file=sys.stderr)
         return 10
     except (ValueError, TypeError, KeyError, OSError, json.JSONDecodeError) as e:
         print(f"error: {e}", file=sys.stderr)

@@ -15,10 +15,10 @@ reproducible; pass an explicit modulus to match another tool's tables.
 from __future__ import annotations
 
 import functools
-from array import array
 
 # Full q*q add/mul tables are built up to this order; they feed the
-# elimination kernels.  Larger fields fall back to per-call arithmetic.
+# table path of the elimination kernel.  Larger fields reduce through
+# per-call arithmetic.
 TABLE_LIMIT = 256
 MAX_ORDER = 1 << 16
 
@@ -126,7 +126,7 @@ class FieldSpec:
     __slots__ = (
         "p", "k", "q", "modulus",
         "neg_t", "inv_t", "add_t", "mul_t",
-        "_exp", "_log", "_arr",
+        "_exp", "_log",
     )
 
     def __init__(self, p: int, k: int, modulus):
@@ -179,7 +179,6 @@ class FieldSpec:
             self._build_full_tables()
         else:
             self.add_t = self.mul_t = None
-        self._arr = None
 
     # -- raw polynomial arithmetic on encodings (used to bootstrap tables) --
 
@@ -312,17 +311,6 @@ class FieldSpec:
         if self.add_t is None:
             return None
         return self.add_t, self.mul_t, self.neg_t, self.inv_t
-
-    def tables_arr(self):
-        """Same tables as C-int arrays (buffer protocol for the compiled kernel)."""
-        if self.add_t is None:
-            return None
-        if self._arr is None:
-            self._arr = (
-                array("i", self.add_t), array("i", self.mul_t),
-                array("i", self.neg_t), array("i", self.inv_t),
-            )
-        return self._arr
 
     # -- value semantics --
 

@@ -32,15 +32,19 @@ RNG_NAME = "python-mt19937"
 
 
 def default_guard() -> int:
-    """Enumeration guard; the REFLEXFF_GUARD environment variable overrides."""
+    """Enumeration guard; the REFLEXFF_GUARD environment variable overrides.
+
+    A value that is not a positive integer raises ValueError (malformed
+    input), not GuardExceeded.
+    """
     raw = os.environ.get("REFLEXFF_GUARD", "")
     if raw:
         try:
             value = int(raw)
         except ValueError:
-            raise GuardExceeded(f"REFLEXFF_GUARD={raw!r} is not an integer")
+            raise ValueError(f"REFLEXFF_GUARD={raw!r} is not an integer") from None
         if value < 1:
-            raise GuardExceeded("REFLEXFF_GUARD must be positive")
+            raise ValueError("REFLEXFF_GUARD must be positive")
         return value
     return DEFAULT_GUARD
 
@@ -262,6 +266,8 @@ def _run_exhaustive(params: SearchParams, collect_extremal: bool) -> _Acc:
     ambient = params.dim_u * params.dim_v
     if params.n > ambient:
         raise ValueError(f"n={params.n} exceeds the ambient dimension {ambient}")
+    if params.jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {params.jobs}")
     guard = params.guard_value()
     total = gaussian_binomial(ambient, params.n, f.q)
     if total > guard:
@@ -280,11 +286,12 @@ def _run_exhaustive(params: SearchParams, collect_extremal: bool) -> _Acc:
         for piv in patterns
     ]
     acc = _Acc()
-    if params.jobs <= 1 or len(patterns) <= 1:
+    workers = min(params.jobs, len(patterns), os.cpu_count() or 1)
+    if workers <= 1:
         for args in job_args:
             acc.merge(_scan_pattern(args))
     else:
-        with multiprocessing.Pool(params.jobs) as pool:
+        with multiprocessing.Pool(workers) as pool:
             for part in pool.map(_scan_pattern, job_args):
                 acc.merge(part)
     return acc

@@ -149,6 +149,23 @@ def test_search_guard_exit_5():
     assert code == 5 and "guard" in err
 
 
+@pytest.mark.parametrize("raw", ["abc", "0"])
+def test_search_malformed_guard_env_exit_2(monkeypatch, raw):
+    monkeypatch.setenv("REFLEXFF_GUARD", raw)
+    code, out, err = run_cli(["search", "--q", "2", "--dim-u", "2", "--dim-v", "2",
+                              "--n", "2"])
+    assert code == 2 and out == ""
+    assert err.startswith("error: REFLEXFF_GUARD") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_search_jobs_below_one_exit_2(jobs):
+    code, out, err = run_cli(["search", "--q", "2", "--dim-u", "2", "--dim-v", "2",
+                              "--n", "2", "--jobs", jobs])
+    assert code == 2 and out == ""
+    assert err.startswith("error: jobs") and "Traceback" not in err
+
+
 def test_search_nonprimepower_q_exit_2():
     code, _, err = run_cli(["search", "--q", "6", "--dim-u", "2", "--dim-v", "2",
                             "--n", "1"])
@@ -233,3 +250,24 @@ def test_theorem_violation_exit_10_and_artifact_dump(tmp_path, monkeypatch):
     assert "THEOREM VIOLATION" in err
     dumped = json.loads((tmp_path / "theorem_violation.json").read_text())
     assert dumped["spaces_examined"] == 35
+
+
+def test_theorem_violation_dump_failure_goes_to_stderr(tmp_path, monkeypatch):
+    import reflexff.cli as cli
+    from reflexff import TheoremViolation, SearchParams, exhaustive_verify
+
+    def boom(params):
+        real = exhaustive_verify(SearchParams(field=field_make(2),
+                                              dim_u=2, dim_v=2, n=2))
+        raise TheoremViolation("THEOREM VIOLATION: forced by test", real)
+
+    monkeypatch.setattr(cli, "exhaustive_verify", boom)
+    monkeypatch.setattr(cli, "VIOLATION_DUMP",
+                        str(tmp_path / "missing" / "theorem_violation.json"))
+    code, out, err = run_cli(["search", "--q", "2", "--dim-u", "2", "--dim-v", "2",
+                              "--n", "2"])
+    assert code == 10 and out == ""
+    first, _, report = err.partition("\n")
+    assert first.startswith("THEOREM VIOLATION: cannot write")
+    assert json.loads(report)["spaces_examined"] == 35
+    assert not (tmp_path / "missing").exists()

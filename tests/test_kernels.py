@@ -1,18 +1,12 @@
-"""Backend equivalence: every kernel path must produce identical output."""
+"""Kernel equivalence: the table and per-call paths produce identical output."""
 
 import random
-from array import array
 
 import pytest
 
 from reflexff import field_make
-from reflexff import _gauss_py
+from reflexff import kernels
 from reflexff.kernels import BACKEND
-
-try:
-    from reflexff import _gauss_cy
-except ImportError:
-    _gauss_cy = None
 
 
 def random_cases(q, count=300, seed=99):
@@ -25,44 +19,18 @@ def random_cases(q, count=300, seed=99):
 
 @pytest.mark.parametrize("q,f", [
     (2, field_make(2)), (3, field_make(3)), (4, field_make(2, 2)),
-    (5, field_make(5)), (9, field_make(3, 2)),
+    (5, field_make(5)), (9, field_make(3, 2)), (8, field_make(2, 3)),
+    (16, field_make(2, 4)), (256, field_make(2, 8)),
 ])
 def test_generic_vs_object_path(q, f):
     for rows, cols, ent in random_cases(q):
         a = list(ent)
         b = list(ent)
-        piv_a = _gauss_py._row_reduce_tables(a, rows, cols, q, *f.tables())
-        piv_b = _gauss_py.row_reduce_obj(b, rows, cols, f)
+        piv_a = kernels._row_reduce_tables(a, rows, cols, q, *f.tables())
+        piv_b = kernels._row_reduce_obj(b, rows, cols, f)
         assert piv_a == piv_b
         assert a == b
-
-
-def test_gf2_bitpacked_vs_generic():
-    f = field_make(2)
-    for rows, cols, ent in random_cases(2, count=500):
-        a = list(ent)
-        b = list(ent)
-        piv_a = _gauss_py._row_reduce_gf2(a, rows, cols)
-        piv_b = _gauss_py._row_reduce_tables(b, rows, cols, 2, *f.tables())
-        assert piv_a == piv_b
-        assert a == b
-
-
-@pytest.mark.skipif(_gauss_cy is None, reason="compiled kernel not built")
-@pytest.mark.parametrize("q,f", [
-    (2, field_make(2)), (3, field_make(3)), (4, field_make(2, 2)),
-    (5, field_make(5)),
-])
-def test_compiled_vs_pure(q, f):
-    tabs = f.tables_arr()
-    for rows, cols, ent in random_cases(q, count=400, seed=7):
-        a = list(ent)
-        buf = array("i", ent)
-        piv_a = _gauss_py.row_reduce(a, rows, cols, q, *f.tables())
-        piv_b = _gauss_cy.row_reduce(buf, rows, cols, q, *tabs)
-        assert piv_a == list(piv_b)
-        assert a == buf.tolist()
 
 
 def test_backend_reported():
-    assert BACKEND in ("cython", "python")
+    assert BACKEND == "python"

@@ -85,9 +85,11 @@ def test_guard_env_override(monkeypatch):
     params = SearchParams(field=GF2, dim_u=2, dim_v=2, n=2)
     with pytest.raises(GuardExceeded):
         exhaustive_verify(params)
-    monkeypatch.setenv("REFLEXFF_GUARD", "junk")
-    with pytest.raises(GuardExceeded):
-        exhaustive_verify(params)
+    # a malformed or non-positive override is bad input, not a tripped guard
+    for raw in ("junk", "0", "-5"):
+        monkeypatch.setenv("REFLEXFF_GUARD", raw)
+        with pytest.raises(ValueError, match="REFLEXFF_GUARD"):
+            exhaustive_verify(params)
 
 
 def test_exhaustive_tiny_slice():
@@ -128,6 +130,49 @@ def test_exhaustive_worker_invariance():
     p1 = SearchParams(field=GF2, dim_u=2, dim_v=2, n=2, jobs=1)
     p2 = SearchParams(field=GF2, dim_u=2, dim_v=2, n=2, jobs=4)
     assert exhaustive_verify(p1).to_dict() == exhaustive_verify(p2).to_dict()
+
+
+@pytest.mark.parametrize("jobs", [0, -3])
+def test_exhaustive_rejects_jobs_below_one(jobs):
+    params = SearchParams(field=GF2, dim_u=2, dim_v=2, n=2, jobs=jobs)
+    with pytest.raises(ValueError, match="jobs"):
+        exhaustive_verify(params)
+
+
+def test_exhaustive_pool_is_capped(monkeypatch):
+    import reflexff.search as search
+
+    sizes = []
+
+    class RecordingPool:
+        # runs the work in-process; only the requested size is recorded
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return [fn(item) for item in items]
+
+    monkeypatch.setattr(search.multiprocessing, "Pool", RecordingPool)
+    monkeypatch.setattr(search.os, "cpu_count", lambda: 4)
+    serial = exhaustive_verify(
+        SearchParams(field=GF2, dim_u=2, dim_v=2, n=2)).to_dict()
+    assert sizes == []
+    # 6 pivot patterns on this slice, 4 CPUs: the CPU count caps the pool
+    huge = SearchParams(field=GF2, dim_u=2, dim_v=2, n=2, jobs=10**9)
+    assert exhaustive_verify(huge).to_dict() == serial
+    # 3 pivot patterns on this slice: the pattern count caps the pool
+    few = SearchParams(field=GF2, dim_u=3, dim_v=1, n=1, jobs=10**9)
+    exhaustive_verify(few)
+    # 2 workers asked for: the request itself is the smallest bound
+    two = SearchParams(field=GF2, dim_u=2, dim_v=2, n=2, jobs=2)
+    assert exhaustive_verify(two).to_dict() == serial
+    assert sizes == [4, 3, 2]
 
 
 def test_random_verify_reproducible():
