@@ -2,7 +2,7 @@
 
 Exit codes are a stable contract:
   0 success, 2 malformed input (including a malformed REFLEXFF_GUARD and
-  an exhaustive search with --jobs below 1), 3 dependent basis, 4 census
+  a search with --jobs below 1), 3 dependent basis, 4 census
   membership failure, 5 enumeration guard exceeded, 10 rank-bound
   violation.
 Reports go to stdout as pure JSON unless --output or --pretty is given;

@@ -185,12 +185,17 @@ def mat_rank(m: Matrix) -> int:
 def mat_kernel(m: Matrix) -> tuple:
     """Canonical basis of {x : m @ x = 0}, one vector per free column."""
     ent, piv = kernels.row_reduce(m.entries, m.rows, m.cols, m.field)
-    neg = m.field.neg_t
-    cols = m.cols
-    pivset = set(piv)
+    return null_basis(m.field, ent, piv, m.cols)
+
+
+def null_basis(field, ent, piv, cols) -> tuple:
+    """Null space of a reduced system, read from ``kernels.row_reduce``'s
+    (entries, pivots): one vector per free column, 1 there, 0 at the other
+    free columns."""
+    neg = field.neg_t
     basis = []
     for j in range(cols):
-        if j in pivset:
+        if j in piv:
             continue
         v = [0] * cols
         v[j] = 1

@@ -19,18 +19,102 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from . import kernels
 from .errors import DependentBasisError, MembershipError
-from .matrix import (
+from .matrix import (  # noqa: F401  (mat_rank: perfbench/tracer.py wraps it here)
     Matrix,
     iter_projective,
     mat_kernel,
     mat_rank,
+    null_basis,
     quotient_setup,
     rref_rows,
     solve,
     solve_membership,
     vstack,
 )
+
+
+def closure_system(field, dim_u, dim_v, flats):
+    """The conditions that cut R(S) out of all dim_v x dim_u matrices.
+
+    S is the span of the independent flat row-major entry sequences
+    ``flats``.  For each projective x, in lexicographic order, the images
+    f_k(x) are reduced and every annihilator c of S(x) gives the condition
+    c . g(x) = 0 on the unknown g, whose row is c x^T flattened.  All rows
+    go into one running RREF system.  S lies in R(S), so once the rank reaches
+    dim_u*dim_v - n the system already forces R(S) = S and the scan stops.
+    The system is reduced only when it holds enough rows to reach that
+    rank, which leaves the stopping point unchanged.  Returns the system as
+    ``kernels.row_reduce`` gives it: (entries of its nonzero rows,
+    pivots); R(S) is its null space.
+    """
+    p, v = dim_u, dim_v
+    width = p * v
+    n = len(flats)
+    target = width - n
+    add, mul = field.add, field.mul
+    ent, rows = [], 0
+    if not target:
+        return ent, ()
+    # the nonzero (column, entry) pairs of each row of each basis map
+    maprows = [[(j, e) for j, e in enumerate(fk[b:b + p]) if e]
+               for fk in flats for b in range(0, width, p)]
+    zeros = [0] * p
+    for x in iter_projective(field.q, p):
+        images = []
+        for r in maprows:
+            s = 0
+            for j, e in r:
+                xj = x[j]
+                if xj:
+                    t = e if xj == 1 else mul(e, xj)
+                    s = add(s, t) if s else t
+            images.append(s)
+        img, ipiv = kernels.row_reduce(images, n, v, field)
+        if len(ipiv) == v:
+            continue
+        for c in null_basis(field, img, ipiv, v):
+            for ci in c:
+                if ci == 1:
+                    ent.extend(x)
+                elif ci:
+                    ent.extend([mul(ci, xj) for xj in x])
+                else:
+                    ent.extend(zeros)
+            rows += 1
+        if rows >= target:
+            ent, piv = kernels.row_reduce(ent, rows, width, field)
+            rows = len(piv)
+            del ent[rows * width:]
+            if rows == target:
+                return ent, piv
+    ent, piv = kernels.row_reduce(ent, rows, width, field)
+    del ent[len(piv) * width:]
+    return ent, piv
+
+
+def rank_walk(field, dim_u, dim_v, flats):
+    """(coefficients, rank) of one member sum c_k f_k per projective class.
+
+    ``flats`` are the basis maps as flat row-major entry sequences;
+    coefficient vectors come in lexicographic order.  A consumer that
+    wants only the minimal rank may stop at the first rank 1.
+    """
+    width = dim_u * dim_v
+    add, mul = field.add, field.mul
+    nonzero = [[(t, e) for t, e in enumerate(fk) if e] for fk in flats]
+    for coeffs in iter_projective(field.q, len(flats)):
+        member = [0] * width
+        for c, fk in zip(coeffs, nonzero):
+            if c:
+                for t, e in fk:
+                    if c != 1:
+                        e = mul(c, e)
+                    m = member[t]
+                    member[t] = add(m, e) if m else e
+        _, piv = kernels.row_reduce(member, dim_v, dim_u, field)
+        yield coeffs, len(piv)
 
 
 class OperatorSpace:
@@ -125,52 +209,26 @@ class OperatorSpace:
         return rows
 
     def reflexive_closure(self) -> "OperatorSpace":
-        """R(S): all g with g(x) in S(x) for every x, as one kernel solve.
+        """R(S): all g with g(x) in S(x) for every x, RREF-canonical basis.
 
-        Each projective representative x contributes dim_v - dim S(x)
-        linear conditions on the dim_v*dim_u unknowns of g; the joint
-        solution space is returned with an RREF-canonical basis.
+        The conditions come from ``closure_system``: one running RREF
+        system over the projective points, which stops as soon as its rank
+        forces R(S) = S; then S's own canonical basis is returned.
+        Otherwise R(S) is the null space of the system over all points.
         """
         cached = self._cache.get("closure")
         if cached is not None:
             return cached
         f = self.field
-        p, v, q = self.dim_u, self.dim_v, f.q
-        unknowns = v * p
-        mul = f.mul
-        rows = []
-        for x in iter_projective(q, p):
-            ev = self.eval_space(x)
-            d = len(ev)
-            if d == v:
-                continue
-            if d == 0:
-                # g(x) must vanish: one condition per output coordinate
-                normals = tuple(
-                    tuple(1 if t == i else 0 for t in range(v)) for i in range(v))
-            else:
-                normals = mat_kernel(Matrix.from_rows(f, ev))
-            for c in normals:
-                row = [0] * unknowns
-                for i in range(v):
-                    ci = c[i]
-                    if ci:
-                        base = i * p
-                        for j in range(p):
-                            if x[j]:
-                                row[base + j] = mul(ci, x[j])
-                rows.append(row)
-        if not rows:
-            sol = tuple(
-                tuple(1 if t == i else 0 for t in range(unknowns))
-                for i in range(unknowns))
+        p, v = self.dim_u, self.dim_v
+        width = p * v
+        canon = self._cache["canon"]
+        ent, piv = closure_system(f, p, v, canon)
+        if len(piv) == width - self.n:
+            rows = canon
         else:
-            flat = [e for r in rows for e in r]
-            constraint = Matrix(f, len(rows), unknowns, flat)
-            sol = mat_kernel(constraint)
-        canon, _ = rref_rows(f, sol, width=unknowns)
-        basis = tuple(Matrix(f, v, p, g) for g in canon)
-        closure = OperatorSpace(f, p, v, basis)
+            rows, _ = rref_rows(f, null_basis(f, ent, piv, width), width=width)
+        closure = OperatorSpace(f, p, v, tuple(Matrix(f, v, p, g) for g in rows))
         self._cache["closure"] = closure
         return closure
 
@@ -188,8 +246,8 @@ class OperatorSpace:
         dist: dict[int, int] = {}
         best = None
         witness = None
-        for coeffs in iter_projective(self.field.q, self.n):
-            r = mat_rank(self.element(coeffs))
+        flats = [m.entries for m in self.basis]
+        for coeffs, r in rank_walk(self.field, self.dim_u, self.dim_v, flats):
             dist[r] = dist.get(r, 0) + 1
             if best is None or r < best:
                 best = r

@@ -5,7 +5,11 @@ dim_v x dim_u matrices over GF(q) exactly once, via unique reduced row
 echelon bases grouped by pivot-column pattern.  Pattern groups are
 independent, so the scan parallelizes perfectly and the merged report is
 identical for any worker count.  The random mode samples seeded uniform
-bases and is reproducible from (seed, sample count).
+bases, runs serially and is reproducible from (seed, sample count).
+
+Candidates stay flat RREF entry tuples throughout the scan: the closure
+test and the rank walk of ``opspace`` read them directly, and only the
+``deep_checks`` witness path builds an ``OperatorSpace``.
 
 Every non-reflexive space encountered is checked against the minimal-rank
 bound mrk(S) <= 2n - 2 (plus the weaker n(n+1)/2 and n^2 bounds); any
@@ -25,7 +29,7 @@ from itertools import combinations, product
 from .errors import GuardExceeded, TheoremViolation
 from .field import FieldSpec, field_make
 from .matrix import Matrix, rref_rows
-from .opspace import OperatorSpace
+from .opspace import OperatorSpace, closure_system, hyperplane_lld_check, rank_walk
 
 DEFAULT_GUARD = 10**7
 RNG_NAME = "python-mt19937"
@@ -210,43 +214,52 @@ class _Acc:
         return self
 
 
-def _scan_one(acc: _Acc, space: OperatorSpace, collect_extremal: bool,
-              deep_checks: bool, check_2n3: bool):
-    from .opspace import hyperplane_lld_check
+def _mrk(field, dim_u: int, dim_v: int, rows) -> int:
+    """Minimal rank over the nonzero members of span(rows).  The walk stops
+    at the first rank-1 member: no nonzero member has a smaller rank."""
+    best = None
+    for _, r in rank_walk(field, dim_u, dim_v, rows):
+        if best is None or r < best:
+            best = r
+            if r == 1:
+                break
+    return best
 
-    n = space.n
+
+def _scan_one(acc: _Acc, field, dim_u: int, dim_v: int, rows: tuple,
+              collect_extremal: bool, deep_checks: bool, check_2n3: bool):
+    """Classify span(rows); ``rows`` is its canonical RREF basis as flat
+    row-major entry tuples."""
+    n = len(rows)
     acc.examined += 1
-    closure = space.reflexive_closure()
-    if closure.n == n:
+    _, piv = closure_system(field, dim_u, dim_v, rows)
+    if len(piv) == dim_u * dim_v - n:
         acc.reflexive += 1
         return
     acc.nonreflexive += 1
-    mrk, _ = space.mrk()
+    mrk = _mrk(field, dim_u, dim_v, rows)
     acc.hist[mrk] = acc.hist.get(mrk, 0) + 1
-    canon = space.canonical_basis()
     for bound_name, bound in (("2n-2", 2 * n - 2),
                               ("n(n+1)/2", n * (n + 1) // 2),
                               ("n^2", n * n)):
         if mrk > bound:
-            acc.violations.append({"basis": canon, "mrk": mrk, "bound": bound_name})
+            acc.violations.append({"basis": rows, "mrk": mrk, "bound": bound_name})
     if check_2n3 and mrk > 2 * n - 3 and acc.bad_2n3 is None:
-        acc.bad_2n3 = canon
+        acc.bad_2n3 = rows
     if acc.max_mrk is None or mrk > acc.max_mrk:
         acc.max_mrk = mrk
-        acc.max_witness = canon
-        acc.extremal = [canon] if collect_extremal else []
+        acc.max_witness = rows
+        acc.extremal = [rows] if collect_extremal else []
     elif mrk == acc.max_mrk and collect_extremal:
-        acc.extremal.append(canon)
+        acc.extremal.append(rows)
     if deep_checks:
-        witness = next(b for b in closure.basis if not space.contains(b))
+        space = OperatorSpace(field, dim_u, dim_v,
+                              [Matrix(field, dim_v, dim_u, row) for row in rows])
+        witness = next(b for b in space.reflexive_closure().basis
+                       if not space.contains(b))
         if not hyperplane_lld_check(space, witness):
             acc.violations.append(
-                {"basis": canon, "mrk": mrk, "bound": "hyperplane-lld"})
-
-
-def _space_from_rows(field, dim_u, dim_v, rows):
-    basis = [Matrix(field, dim_v, dim_u, row) for row in rows]
-    return OperatorSpace(field, dim_u, dim_v, basis)
+                {"basis": rows, "mrk": mrk, "bound": "hyperplane-lld"})
 
 
 def _scan_pattern(args):
@@ -256,8 +269,8 @@ def _scan_pattern(args):
     ambient = dim_u * dim_v
     acc = _Acc()
     for rows in _pattern_subspaces(f.q, ambient, pivots):
-        space = _space_from_rows(f, dim_u, dim_v, rows)
-        _scan_one(acc, space, collect_extremal, deep_checks, check_2n3)
+        _scan_one(acc, f, dim_u, dim_v, rows, collect_extremal, deep_checks,
+                  check_2n3)
     return acc
 
 
@@ -276,8 +289,8 @@ def _run_exhaustive(params: SearchParams, collect_extremal: bool) -> _Acc:
     check_2n3 = f.q > params.n >= 3
     if params.n == 0:
         acc = _Acc()
-        space = OperatorSpace(f, params.dim_u, params.dim_v, [])
-        _scan_one(acc, space, collect_extremal, params.deep_checks, check_2n3)
+        _scan_one(acc, f, params.dim_u, params.dim_v, (), collect_extremal,
+                  params.deep_checks, check_2n3)
         return acc
     patterns = list(combinations(range(ambient), params.n))
     job_args = [
@@ -300,6 +313,8 @@ def _run_exhaustive(params: SearchParams, collect_extremal: bool) -> _Acc:
 def _run_random(params: SearchParams, collect_extremal: bool) -> _Acc:
     if params.samples < 1:
         raise ValueError("random mode needs samples >= 1")
+    if params.jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {params.jobs}")
     f = params.field
     q = f.q
     ambient = params.dim_u * params.dim_v
@@ -315,8 +330,8 @@ def _run_random(params: SearchParams, collect_extremal: bool) -> _Acc:
             rref, _ = rref_rows(f, rows, width=ambient)
             if len(rref) == params.n:
                 break
-        space = _space_from_rows(f, params.dim_u, params.dim_v, rows)
-        _scan_one(acc, space, collect_extremal, params.deep_checks, check_2n3)
+        _scan_one(acc, f, params.dim_u, params.dim_v, rref, collect_extremal,
+                  params.deep_checks, check_2n3)
     return acc
 
 

@@ -80,3 +80,37 @@ def space_element_set(space):
     f = space.field
     width = space.dim_u * space.dim_v
     return span_set(f, [m.entries for m in space.basis], width)
+
+
+def bilinear(f, g_entries, y, x, p):
+    """y^T g x for a flat row-major g with p columns."""
+    s = 0
+    for i, yi in enumerate(y):
+        if yi:
+            for j, xj in enumerate(x):
+                e = g_entries[i * p + j]
+                if e and xj:
+                    s = f.add(s, f.mul(yi, f.mul(e, xj)))
+    return s
+
+
+def duality_closure_set(space):
+    """R(S) as the annihilator of the rank-one part of S^perp.
+
+    Under the trace pairing <g, h> = sum g_ij h_ij, the rank-one y x^T
+    lies in S^perp exactly when y^T f x = 0 for every basis map f, and g
+    lies in R(S) exactly when y^T g x = 0 for every such pair.  Both sets
+    are enumerated; returns flattened entry tuples like
+    ``brute_closure_set``.
+    """
+    f = space.field
+    q = f.q
+    p, v = space.dim_u, space.dim_v
+    from reflexff import iter_projective
+
+    pairs = [(y, x)
+             for x in iter_projective(q, p)
+             for y in iter_projective(q, v)
+             if all(bilinear(f, m.entries, y, x, p) == 0 for m in space.basis)]
+    return {g for g in product(range(q), repeat=v * p)
+            if all(bilinear(f, g, y, x, p) == 0 for y, x in pairs)}

@@ -1,0 +1,64 @@
+"""The closure and rank-scan algorithms that the scan-native routines of
+``reflexff.opspace`` replaced, kept as a differential reference.
+
+The closure here takes S(x) point by point through ``eval_space``, solves
+one ``mat_kernel`` per point for its annihilator, stacks every condition
+into one constraint matrix over all points and solves it once.  The rank
+scan builds a ``Matrix`` for every projective member and ranks it with
+``mat_rank``.  Both use row reduction, so unlike ``oracles`` they are a
+second implementation, not an independent one.
+"""
+
+from reflexff import (
+    Matrix,
+    iter_projective,
+    mat_kernel,
+    mat_rank,
+    rref_rows,
+)
+
+
+def reference_closure_basis(space) -> tuple:
+    """RREF-canonical basis rows (flat entry tuples) of R(S)."""
+    f = space.field
+    p, v = space.dim_u, space.dim_v
+    unknowns = v * p
+    rows = []
+    for x in iter_projective(f.q, p):
+        ev = space.eval_space(x)
+        d = len(ev)
+        if d == v:
+            continue
+        if d == 0:
+            normals = tuple(
+                tuple(1 if t == i else 0 for t in range(v)) for i in range(v))
+        else:
+            normals = mat_kernel(Matrix.from_rows(f, ev))
+        for c in normals:
+            row = [0] * unknowns
+            for i in range(v):
+                if c[i]:
+                    for j in range(p):
+                        if x[j]:
+                            row[i * p + j] = f.mul(c[i], x[j])
+            rows.append(row)
+    if not rows:
+        sol = tuple(tuple(1 if t == i else 0 for t in range(unknowns))
+                    for i in range(unknowns))
+    else:
+        flat = [e for r in rows for e in r]
+        sol = mat_kernel(Matrix(f, len(rows), unknowns, flat))
+    canon, _ = rref_rows(f, sol, width=unknowns)
+    return canon
+
+
+def reference_rank_scan(space):
+    """(rank distribution, minimal rank, lexicographically first witness)."""
+    dist = {}
+    best = witness = None
+    for coeffs in iter_projective(space.field.q, space.n):
+        r = mat_rank(space.element(coeffs))
+        dist[r] = dist.get(r, 0) + 1
+        if best is None or r < best:
+            best, witness = r, coeffs
+    return dist, best, witness

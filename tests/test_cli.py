@@ -166,6 +166,15 @@ def test_search_jobs_below_one_exit_2(jobs):
     assert err.startswith("error: jobs") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_random_search_jobs_below_one_exit_2(jobs):
+    code, out, err = run_cli(["search", "--q", "2", "--dim-u", "2", "--dim-v", "2",
+                              "--n", "2", "--mode", "random", "--samples", "3",
+                              "--jobs", jobs])
+    assert code == 2 and out == ""
+    assert err.startswith("error: jobs") and "Traceback" not in err
+
+
 def test_search_nonprimepower_q_exit_2():
     code, _, err = run_cli(["search", "--q", "6", "--dim-u", "2", "--dim-v", "2",
                             "--n", "1"])

@@ -10,6 +10,7 @@ from reflexff import (
     TheoremViolation,
     analyze,
     construct_regular_rep,
+    dumps,
     enumerate_subspaces,
     exhaustive_verify,
     field_make,
@@ -137,6 +138,34 @@ def test_exhaustive_rejects_jobs_below_one(jobs):
     params = SearchParams(field=GF2, dim_u=2, dim_v=2, n=2, jobs=jobs)
     with pytest.raises(ValueError, match="jobs"):
         exhaustive_verify(params)
+
+
+@pytest.mark.parametrize("jobs", [0, -3])
+def test_random_rejects_jobs_below_one(jobs):
+    params = SearchParams(field=GF2, dim_u=2, dim_v=2, n=2, mode="random",
+                          samples=3, jobs=jobs)
+    with pytest.raises(ValueError, match="jobs"):
+        random_verify(params)
+
+
+def test_benchmark_slice_gf2_counts_and_jobs_invariance():
+    # the exhaustive-gf2 slice of the benchmark: GF(2), dim_v=2, dim_u=3, n=3
+    base = dict(field=GF2, dim_u=3, dim_v=2, n=3)
+    report = exhaustive_verify(SearchParams(jobs=1, **base))
+    assert report.spaces_examined == 1395
+    assert report.nonreflexive_count == 951
+    assert report.mrk_histogram == {1: 903, 2: 48}
+    assert report.max_mrk == 2
+    pooled = exhaustive_verify(SearchParams(jobs=2, **base))
+    assert dumps(pooled.to_dict()) == dumps(report.to_dict())
+
+
+def test_benchmark_slice_gf3_counts():
+    # the exhaustive-gf3 slice of the benchmark: GF(3), dim_v=2, dim_u=3, n=2
+    report = exhaustive_verify(SearchParams(field=GF3, dim_u=3, dim_v=2, n=2))
+    assert report.spaces_examined == 11011
+    assert report.nonreflexive_count == 650
+    assert report.mrk_histogram == {1: 416, 2: 234}
 
 
 def test_exhaustive_pool_is_capped(monkeypatch):
@@ -273,23 +302,18 @@ def test_2n_minus_3_status_applicability():
     assert r.bound_2n_minus_3_status in ("holds", "violated")
 
 
-def test_theorem_violation_raises_loudly():
+def test_theorem_violation_raises_loudly(monkeypatch):
     import reflexff.search as search
 
-    real = search.OperatorSpace.mrk
+    def fake_walk(field, dim_u, dim_v, flats):
+        yield (1,) * len(flats), 99
 
-    def fake_mrk(self):
-        return 99, (1,) * self.n
-
-    search.OperatorSpace.mrk = fake_mrk
-    try:
-        with pytest.raises(TheoremViolation) as exc:
-            exhaustive_verify(SearchParams(field=GF2, dim_u=2, dim_v=2, n=2))
-        report = exc.value.report
-        assert report.violations
-        assert any(v["bound"] == "2n-2" for v in report.violations)
-    finally:
-        search.OperatorSpace.mrk = real
+    monkeypatch.setattr(search, "rank_walk", fake_walk)
+    with pytest.raises(TheoremViolation) as exc:
+        exhaustive_verify(SearchParams(field=GF2, dim_u=2, dim_v=2, n=2))
+    report = exc.value.report
+    assert report.violations
+    assert any(v["bound"] == "2n-2" for v in report.violations)
 
 
 def test_nonreflexive_spaces_satisfy_all_recorded_bounds():
