@@ -15,12 +15,11 @@ def row_reduce(entries, rows, cols, field):
     work = list(entries)
     if rows == 0 or cols == 0:
         return work, ()
-    tables = field.tables()
-    if tables is None:
-        pivots = _row_reduce_obj(work, rows, cols, field)
-    else:
-        pivots = _row_reduce_tables(work, rows, cols, field.q, *tables)
-    return work, tuple(pivots)
+    mul_t = field.mul_t
+    if mul_t is None:
+        return work, tuple(_row_reduce_obj(work, rows, cols, field))
+    return work, tuple(_row_reduce_tables(work, rows, cols, field.q, field.add_t,
+                                          mul_t, field.neg_t, field.inv_t))
 
 
 def _row_reduce_tables(a, rows, cols, q, add_t, mul_t, neg_t, inv_t):
@@ -67,7 +66,7 @@ def _row_reduce_tables(a, rows, cols, q, add_t, mul_t, neg_t, inv_t):
 
 def _row_reduce_obj(a, rows, cols, field):
     """Table-free variant for fields too large for full q*q tables."""
-    add, mul, neg, inv = field.add, field.mul, field.neg, field.inv
+    add, mul, neg_t, inv_t = field.add, field.mul, field.neg_t, field.inv_t
     pivots = []
     r = 0
     for c in range(cols):
@@ -87,7 +86,7 @@ def _row_reduce_obj(a, rows, cols, field):
                 a[rb + j], a[ib + j] = a[ib + j], a[rb + j]
         piv = a[rb + c]
         if piv != 1:
-            pinv = inv(piv)
+            pinv = inv_t[piv]
             for j in range(c, cols):
                 if a[rb + j]:
                     a[rb + j] = mul(a[rb + j], pinv)
@@ -97,7 +96,7 @@ def _row_reduce_obj(a, rows, cols, field):
             f = a[i * cols + c]
             if f:
                 ib = i * cols
-                nf = neg(f)
+                nf = neg_t[f]
                 for j in range(c, cols):
                     v = a[rb + j]
                     if v:

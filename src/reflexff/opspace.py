@@ -17,6 +17,7 @@ scanned in lexicographic order and returned bases are RREF-canonical.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from . import kernels
@@ -35,10 +36,72 @@ from .matrix import (  # noqa: F401  (mat_rank: perfbench/tracer.py wraps it her
 )
 
 
+# A shape (field, dim_u, dim_v, n) gets a closure memo only when the memo
+# can hold at most this many values, which also bounds its memory.  In
+# larger shapes keys are rarely met twice, and filling a row's values at
+# every point costs more than the early exit leaves to do (a 2x2 closure
+# over GF(256) stops after a few of its 257 points), so they store nothing.
+_MEMO_LIMIT = 1 << 16
+
+# (field, dim_u, dim_v, n) -> (points, the points as the rows of a Matrix,
+# row values, conditions per point); filled lazily by ``closure_system``,
+# never at import.  An entry depends only on its key, so sharing the memo
+# across callers cannot change a result.
+_closure_memos: dict = {}
+
+
+@functools.lru_cache(maxsize=256)
+def _memo_fits(q, dim_u, dim_v, n):
+    """Whether the memo of this shape holds at most ``_MEMO_LIMIT`` values:
+    each of the q^dim_u rows stores its value at every projective point,
+    and each (point, image tuple) stores at most dim_v condition rows of
+    dim_u*dim_v entries.  n = 0 has no images to key on."""
+    points = (q**dim_u - 1) // (q - 1)
+    values = points * (q**dim_u + q**(n * dim_v) * dim_v * dim_u * dim_v)
+    return n > 0 and values <= _MEMO_LIMIT
+
+
+def _closure_memo(field, dim_u, dim_v, n):
+    """The shape's memo, created empty on first use; None when it does
+    not fit."""
+    if not _memo_fits(field.q, dim_u, dim_v, n):
+        return None
+    key = (field, dim_u, dim_v, n)
+    memo = _closure_memos.get(key)
+    if memo is None:
+        points = tuple(iter_projective(field.q, dim_u))
+        at_points = Matrix(field, len(points), dim_u, [e for x in points for e in x])
+        memo = _closure_memos[key] = (points, at_points, {}, [{} for _ in points])
+    return memo
+
+
+def _conditions(field, x, img, ipiv, v):
+    """The rows c x^T, flattened, for the annihilators c of the span of
+    the reduced images (``img``, ``ipiv``) in GF(q)^v."""
+    mul = field.mul
+    cond = []
+    for c in null_basis(field, img, ipiv, v):
+        for ci in c:
+            if ci == 1:
+                cond.extend(x)
+            elif ci:
+                cond.extend([mul(ci, xj) for xj in x])
+            else:
+                cond.extend([0] * len(x))
+    return tuple(cond)
+
+
+def _reduced(ent, rows, width, field):
+    """The running system in RREF, its zero rows dropped."""
+    ent, piv = kernels.row_reduce(ent, rows, width, field)
+    del ent[len(piv) * width:]
+    return ent, piv
+
+
 def closure_system(field, dim_u, dim_v, flats):
     """The conditions that cut R(S) out of all dim_v x dim_u matrices.
 
-    S is the span of the independent flat row-major entry sequences
+    S is the span of the independent flat row-major entry tuples
     ``flats``.  For each projective x, in lexicographic order, the images
     f_k(x) are reduced and every annihilator c of S(x) gives the condition
     c . g(x) = 0 on the unknown g, whose row is c x^T flattened.  All rows
@@ -48,15 +111,53 @@ def closure_system(field, dim_u, dim_v, flats):
     rank, which leaves the stopping point unchanged.  Returns the system as
     ``kernels.row_reduce`` gives it: (entries of its nonzero rows,
     pivots); R(S) is its null space.
+
+    The conditions at x depend only on x and the image tuple, so a shape
+    (field, dim_u, dim_v, n) whose memo can hold at most ``_MEMO_LIMIT``
+    values keeps one per process, filled lazily: each basis-map row's
+    values at every point, and each (point, image tuple)'s conditions.  A
+    candidate then costs one lookup per point.  Larger shapes, such as
+    2x2 spaces over GF(256) and up, and n = 0 compute every point afresh
+    and store nothing.
     """
     p, v = dim_u, dim_v
     width = p * v
     n = len(flats)
     target = width - n
-    add, mul = field.add, field.mul
     ent, rows = [], 0
     if not target:
         return ent, ()
+    memo = _closure_memo(field, p, v, n)
+    if memo is not None:
+        points, at_points, values, known = memo
+        cols = []
+        for fk in flats:
+            for b in range(0, width, p):
+                r = fk[b:b + p]
+                vals = values.get(r)
+                if vals is None:
+                    vals = values[r] = at_points.apply(r)
+                cols.append(vals)
+        for x, seen, images in zip(points, known, zip(*cols)):
+            step = seen.get(images)
+            if step is None:
+                img, ipiv = kernels.row_reduce(images, n, v, field)
+                step = seen[images] = (_conditions(field, x, img, ipiv, v),
+                                       v - len(ipiv))
+            cond, count = step
+            if count:
+                ent.extend(cond)
+                rows += count
+                if rows >= target:
+                    ent, piv = _reduced(ent, rows, width, field)
+                    rows = len(piv)
+                    if rows == target:
+                        return ent, piv
+        return _reduced(ent, rows, width, field)
+    # No memo: the same steps, computed afresh at each point.  The body of
+    # ``_conditions`` is inlined here, because a call per point costs 2-4%
+    # of a 2x2 n=1 closure over GF(257).
+    add, mul = field.add, field.mul
     # the nonzero (column, entry) pairs of each row of each basis map
     maprows = [[(j, e) for j, e in enumerate(fk[b:b + p]) if e]
                for fk in flats for b in range(0, width, p)]
@@ -84,14 +185,11 @@ def closure_system(field, dim_u, dim_v, flats):
                     ent.extend(zeros)
             rows += 1
         if rows >= target:
-            ent, piv = kernels.row_reduce(ent, rows, width, field)
+            ent, piv = _reduced(ent, rows, width, field)
             rows = len(piv)
-            del ent[rows * width:]
             if rows == target:
                 return ent, piv
-    ent, piv = kernels.row_reduce(ent, rows, width, field)
-    del ent[len(piv) * width:]
-    return ent, piv
+    return _reduced(ent, rows, width, field)
 
 
 def rank_walk(field, dim_u, dim_v, flats):

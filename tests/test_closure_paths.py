@@ -1,9 +1,12 @@
 """The scan-native closure and rank walk against the algorithms they
-replaced (``reference``) and against an enumeration-only duality oracle."""
+replaced (``reference``) and against an enumeration-only duality oracle,
+and the edges of the closure scan's per-shape memo."""
 
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from reflexff import (
     DependentBasisError,
@@ -13,9 +16,13 @@ from reflexff import (
     enumerate_subspaces,
     exhaustive_verify,
     field_from_order,
+    field_make,
     mat_rank,
     opspace_make,
+    rref_rows,
 )
+from reflexff import opspace
+from reflexff.matrix import null_basis
 from reflexff.opspace import closure_system
 from reflexff.search import _mrk
 from oracles import brute_closure_set, duality_closure_set, space_element_set
@@ -120,3 +127,90 @@ def test_duality_oracle(q, shapes):
         assert dual == space_element_set(space.reflexive_closure())
         closure_sizes.add(len(dual) // q**space.n)
     assert closure_sizes > {1}  # reflexive and non-reflexive spaces both seen
+
+
+def system_closure(space):
+    """RREF basis of the null space of ``closure_system``'s rows, taken as
+    they are: unlike ``reflexive_closure`` this does not return S itself
+    when the rank reaches the early-exit target."""
+    f, width = space.field, space.dim_u * space.dim_v
+    ent, piv = closure_system(f, space.dim_u, space.dim_v, space.canonical_basis())
+    rows, _ = rref_rows(f, null_basis(f, ent, piv, width), width=width)
+    return rows
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 257])
+@pytest.mark.parametrize("dim_u,dim_v", [(2, 2), (2, 3)])
+def test_zero_space_is_reflexive(q, dim_u, dim_v):
+    # S(x) = 0 at every x, so every point contributes all dim_v conditions
+    f = field_from_order(q)
+    space = OperatorSpace(f, dim_u, dim_v, [])
+    assert reference_closure_basis(space) == ()
+    assert system_closure(space) == ()
+    assert space.reflexive_closure().canonical_basis() == ()
+
+
+@pytest.mark.parametrize("q", [256, 257, 512])
+def test_large_fields_store_no_memo(q):
+    f = field_from_order(q)
+    rng = random.Random(7 * q)
+    for n in (1, 2):
+        space = _random_space(f, 2, 2, n, rng)
+        assert system_closure(space) == reference_closure_basis(space)
+    assert not [key for key in opspace._closure_memos if key[0] == f]
+
+
+def test_memo_stays_within_its_bound_on_the_gf3_slice():
+    f = field_from_order(3)
+    report = exhaustive_verify(SearchParams(field=f, dim_u=3, dim_v=2, n=2))
+    assert report.spaces_examined == 11011
+    points, _, values, known = opspace._closure_memos[(f, 3, 2, 2)]
+    assert len(points) == 13
+    assert len(values) <= 3**3
+    assert all(len(seen) <= 3**4 for seen in known)
+    stored = (sum(len(vals) for vals in values.values())
+              + sum(len(cond) for seen in known for cond, _ in seen.values()))
+    assert 0 < stored <= opspace._MEMO_LIMIT
+
+
+def test_memo_keys_separate_fields(monkeypatch):
+    monkeypatch.setattr(opspace, "_closure_memos", {})
+    gf8_a = field_make(2, 3, (1, 1, 0, 1))  # x^3 + x + 1
+    gf8_b = field_make(2, 3, (1, 0, 1, 1))  # x^3 + x^2 + 1
+    gf3 = field_from_order(3)
+    rng = random.Random(8)
+    cases = []
+    for _ in range(6):
+        # already RREF, so both fields key the same rows, whose values differ
+        entries = [1] + [rng.randrange(2, 8) for _ in range(3)]
+        for f in (gf8_a, gf8_b):
+            cases.append(opspace_make(f, 2, 2, [Matrix(f, 2, 2, entries)]))
+        for dim_u, dim_v in ((3, 2), (2, 3)):
+            cases.append(_random_space(gf3, dim_u, dim_v, 2, rng))
+    for space in cases:
+        assert system_closure(space) == reference_closure_basis(space)
+    assert set(opspace._closure_memos) == {
+        (gf8_a, 2, 2, 1), (gf8_b, 2, 2, 1), (gf3, 3, 2, 2), (gf3, 2, 3, 2)}
+
+
+@st.composite
+def small_spaces(draw):
+    q = draw(st.sampled_from([2, 3, 4, 5, 7, 9]))
+    shapes = [(2, 2), (3, 2), (2, 3)] if q <= 3 else [(2, 2)]
+    dim_u, dim_v = draw(st.sampled_from(shapes))
+    width = dim_u * dim_v
+    n = draw(st.integers(1, width - 1))
+    f = field_from_order(q)
+    entries = draw(st.lists(st.integers(0, q - 1), min_size=n * width,
+                            max_size=n * width))
+    basis = [Matrix(f, dim_v, dim_u, entries[k * width:(k + 1) * width])
+             for k in range(n)]
+    assume(len(rref_rows(f, [m.entries for m in basis], width=width)[0]) == n)
+    return OperatorSpace(f, dim_u, dim_v, basis)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(small_spaces())
+def test_duality_oracle_drawn(space):
+    dual = duality_closure_set(space)
+    assert dual == space_element_set(space.reflexive_closure())

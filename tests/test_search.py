@@ -160,6 +160,29 @@ def test_benchmark_slice_gf2_counts_and_jobs_invariance():
     assert dumps(pooled.to_dict()) == dumps(report.to_dict())
 
 
+def test_spawn_workers_rebuild_the_closure_memo(monkeypatch):
+    import multiprocessing
+    import os
+
+    import reflexff.search as search
+
+    # spawned workers start from a fresh import, so each builds its own
+    # closure memo; the merged report must not depend on it
+    spawn_pool = multiprocessing.get_context("spawn").Pool
+    sizes = []
+
+    def pool(processes):
+        sizes.append(processes)
+        return spawn_pool(processes)
+
+    monkeypatch.setattr(search.multiprocessing, "Pool", pool)
+    base = dict(field=GF2, dim_u=2, dim_v=3, n=2)
+    serial = exhaustive_verify(SearchParams(jobs=1, **base))
+    pooled = exhaustive_verify(SearchParams(jobs=2, **base))
+    assert dumps(pooled.to_dict()) == dumps(serial.to_dict())
+    assert sizes == ([2] if (os.cpu_count() or 1) >= 2 else [])
+
+
 def test_benchmark_slice_gf3_counts():
     # the exhaustive-gf3 slice of the benchmark: GF(3), dim_v=2, dim_u=3, n=2
     report = exhaustive_verify(SearchParams(field=GF3, dim_u=3, dim_v=2, n=2))
