@@ -8,10 +8,12 @@ incidence set N = {(x, h) : h in T, h(x) = 0} then satisfies
     #N = sum over h in T of q^(p - rank h)      (exact identity)
     #N >= q^n + q^p - 1                         (coverage floor)
 
-This module computes #N both by the rank formula and by direct pair
-enumeration, the rank profile of T with its extremes r and m, the kernel
-incidence count over a distinguished member h0, and an exact-arithmetic
-tracer for the inequality chain that bounds the minimal rank of S.
+A coset needs g outside S and inside the closure R(S) that S caches.  One
+walk over T ranks each member once; from it come the rank profile of T
+with its extremes r and m, #N by the rank formula, the distinguished
+member h0 (the first of least rank) and the kernel incidence count over
+h0.  #N is also counted by direct pair enumeration, and an exact-arithmetic
+tracer evaluates the inequality chain that bounds the minimal rank of S.
 
 All arithmetic is exact (Python integers, fractions for the one factored
 inequality); nothing here is approximate.
@@ -23,7 +25,7 @@ from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
 from .errors import GuardExceeded, MembershipError
-from .matrix import Matrix, iter_vectors, mat_kernel, mat_rank, solve_membership
+from .matrix import Matrix, iter_vectors, mat_kernel, mat_rank
 from .opspace import OperatorSpace
 
 BRUTE_GUARD = 1 << 24  # max q^(p+n) pairs for brute incidence counting
@@ -37,12 +39,9 @@ class Coset:
             raise ValueError("witness shape or field disagrees with the space")
         if space.contains(g):
             raise MembershipError("g lies in S", "in_space")
-        f = space.field
-        for x in iter_projective_points(space):
-            ok, _ = solve_membership(f, space.eval_rows(x), g.apply(x))
-            if not ok:
-                raise MembershipError("g is not in the reflexive closure of S",
-                                      "not_in_closure")
+        if not space.reflexive_closure().contains(g):
+            raise MembershipError("g is not in the reflexive closure of S",
+                                  "not_in_closure")
         self.space = space
         self.g = g
 
@@ -63,9 +62,8 @@ class Coset:
 
     def elements(self):
         """(coefficients, g + sum c_i f_i) in lexicographic coefficient order."""
-        g = self.g
         for coeffs in iter_vectors(self.q, self.n):
-            yield coeffs, g + self.space.element(coeffs)
+            yield coeffs, self.member(coeffs)
 
     def member(self, coeffs) -> Matrix:
         return self.g + self.space.element(coeffs)
@@ -75,21 +73,42 @@ class Coset:
         return self.space.coords_of(h - self.g)
 
 
-def iter_projective_points(space: OperatorSpace):
-    from .matrix import iter_projective
-
-    return iter_projective(space.field.q, space.dim_u)
-
-
 def coset_make(space: OperatorSpace, g: Matrix) -> Coset:
     return Coset(space, g)
+
+
+def _walk(coset: Coset):
+    """(coefficients, member, rank) for every member of T, in
+    lexicographic coefficient order; one ``mat_rank`` per member."""
+    for coeffs, h in coset.elements():
+        yield coeffs, h, mat_rank(h)
+
+
+def _profile(walk, n):
+    """(rank -> count, min rank r, m = #{rank <= n}, multiplicity of r,
+    the walk's entry for h0) from one walk over T.  h0 is the proof's
+    distinguished member: the first one of rank r."""
+    profile: dict[int, int] = {}
+    r = h0 = None
+    for entry in walk:
+        rk = entry[2]
+        profile[rk] = profile.get(rk, 0) + 1
+        if r is None or rk < r:
+            r, h0 = rk, entry
+    m = sum(c for rk, c in profile.items() if rk <= n)
+    return profile, r, m, profile[r], h0
+
+
+def _incidence(q, p, profile) -> int:
+    """#N by the exact identity: sum over h in T of q^(p - rank h)."""
+    return sum(c * q**(p - rk) for rk, c in profile.items())
 
 
 def incidence_count(coset: Coset, mode: str = "formula") -> int:
     """#{(x, h) : x in U, h in T, h(x) = 0}, by formula or enumeration."""
     q, p = coset.q, coset.p
     if mode == "formula":
-        return sum(q**(p - mat_rank(h)) for _, h in coset.elements())
+        return _incidence(q, p, _profile(_walk(coset), coset.n)[0])
     if mode == "brute":
         pairs = q**(p + coset.n)
         if pairs > BRUTE_GUARD:
@@ -97,28 +116,14 @@ def incidence_count(coset: Coset, mode: str = "formula") -> int:
                 f"brute incidence needs {pairs} pairs, over the guard {BRUTE_GUARD}")
         members = [h for _, h in coset.elements()]
         zero = (0,) * coset.space.dim_v
-        count = 0
-        for x in iter_vectors(q, p):
-            for h in members:
-                if h.apply(x) == zero:
-                    count += 1
-        return count
+        return sum(h.apply(x) == zero for x in iter_vectors(q, p) for h in members)
     raise ValueError(f"mode must be 'formula' or 'brute', got {mode!r}")
 
 
 def coset_rank_profile(coset: Coset):
     """(rank -> count over all q^n members, min rank r, m = #{rank <= n},
     multiplicity of rank r)."""
-    profile: dict[int, int] = {}
-    n = coset.n
-    r = None
-    for _, h in coset.elements():
-        rk = mat_rank(h)
-        profile[rk] = profile.get(rk, 0) + 1
-        if r is None or rk < r:
-            r = rk
-    m = sum(c for rk, c in profile.items() if rk <= n)
-    return profile, r, m, profile[r]
+    return _profile(_walk(coset), coset.n)[:4]
 
 
 def nprime_count(coset: Coset, h0: Matrix) -> int:
@@ -127,29 +132,18 @@ def nprime_count(coset: Coset, h0: Matrix) -> int:
     c0 = coset.coords_of(h0)
     if c0 is None:
         raise ValueError("h0 is not a member of the coset")
+    return _nprime(h0, (h for coeffs, h in coset.elements() if coeffs != c0))
+
+
+def _nprime(h0: Matrix, others) -> int:
+    """``nprime_count`` over the members ``others``, read once."""
+    f, p = h0.field, h0.cols
     kern = mat_kernel(h0)
-    others = [h for coeffs, h in coset.elements() if coeffs != c0]
-    zero = (0,) * coset.space.dim_v
-    f = coset.space.field
-    count = 0
-    for ts in iter_vectors(coset.q, len(kern)):
-        if not any(ts):
-            continue
-        x = _combine(f, kern, ts, coset.p)
-        for h in others:
-            if h.apply(x) == zero:
-                count += 1
-    return count
-
-
-def _combine(f, vectors, coeffs, width):
-    out = [0] * width
-    for c, v in zip(coeffs, vectors):
-        if c:
-            for i in range(width):
-                if v[i]:
-                    out[i] = f.add(out[i], f.mul(c, v[i]))
-    return tuple(out)
+    # columns are the kernel basis, so apply(ts) = sum ts_i kern_i
+    span = Matrix(f, p, len(kern), [v[i] for i in range(p) for v in kern])
+    xs = [span.apply(ts) for ts in iter_vectors(f.q, len(kern)) if any(ts)]
+    zero = (0,) * h0.rows
+    return sum(h.apply(x) == zero for h in others for x in xs)
 
 
 @dataclass
@@ -219,21 +213,15 @@ class CensusReport:
 
 def census_report(coset: Coset, count_nprime: bool = True) -> CensusReport:
     q, p, n = coset.q, coset.p, coset.n
-    total = incidence_count(coset, "formula")
-    profile, r, m, mult = coset_rank_profile(coset)
-
-    # the proof's distinguished member: minimum rank, lexicographically first
-    h0_coeffs = None
-    for coeffs, h in coset.elements():
-        if mat_rank(h) == r:
-            h0_coeffs = coeffs
-            break
+    walk = list(_walk(coset))
+    profile, r, m, mult, (h0_coeffs, h0, _) = _profile(walk, n)
+    total = _incidence(q, p, profile)
 
     nprime_lower = (q**(p - 2 * n + 1) - 1) * (m - 1) if p >= 2 * n - 1 else None
 
     nprime = None
     if count_nprime and q**(p - r + n) <= BRUTE_GUARD:
-        nprime = nprime_count(coset, coset.member(h0_coeffs))
+        nprime = _nprime(h0, (h for coeffs, h, _ in walk if coeffs != h0_coeffs))
 
     verdicts = []
     floor = q**n + q**p - 1
@@ -319,7 +307,7 @@ def proof_trace(q: int, p: int, n: int, profile: dict) -> TraceReport:
     if sum(profile.values()) != q**n:
         raise ValueError(f"profile counts must sum to q^n = {q**n}")
 
-    n_exact = sum(c * q**(p - rk) for rk, c in profile.items())
+    n_exact = _incidence(q, p, profile)
     floor = q**n + q**p - 1
     regime = p >= 2 * n - 1
     r = min(profile)

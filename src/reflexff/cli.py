@@ -75,6 +75,16 @@ def _kv_lines(d: dict, title: str) -> list:
     return lines
 
 
+def _check_lines(checks) -> list:
+    """One line per encoded check: its verdict, or why it was skipped."""
+    lines = []
+    for c in checks:
+        state = ("skipped: " + c["reason"] if c["status"] == "skipped"
+                 else f"{c['lhs']} {c['relation']} {c['rhs']} -> {c['holds']}")
+        lines.append(f"{c['name']:>24}: {state}")
+    return lines
+
+
 def cmd_analyze(args) -> int:
     space = load_space(args.space)
     report = analyze(space).to_dict()
@@ -112,11 +122,7 @@ def cmd_census(args) -> int:
                            space.field)
     pretty = _kv_lines({k: v for k, v in report.items()
                         if k not in ("meta", "verdicts")}, "coset census")
-    for v in report["verdicts"]:
-        state = ("skipped: " + v["reason"] if v["status"] == "skipped"
-                 else f"{v['lhs']} {v['relation']} {v['rhs']} -> {v['holds']}")
-        pretty.append(f"{v['name']:>24}: {state}")
-    return _emit(args, report, pretty)
+    return _emit(args, report, pretty + _check_lines(report["verdicts"]))
 
 
 def _parse_profile(text: str) -> dict:
@@ -141,11 +147,7 @@ def cmd_trace(args) -> int:
                         ("q", "p", "n", "profile", "incidence_exact",
                          "regime_met", "contradiction", "contradiction_via")},
                        "counting-argument trace")
-    for c in report["checks"]:
-        state = ("skipped: " + c["reason"] if c["status"] == "skipped"
-                 else f"{c['lhs']} {c['relation']} {c['rhs']} -> {c['holds']}")
-        pretty.append(f"{c['name']:>24}: {state}")
-    return _emit(args, report, pretty)
+    return _emit(args, report, pretty + _check_lines(report["checks"]))
 
 
 def cmd_search(args) -> int:

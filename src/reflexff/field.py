@@ -307,7 +307,8 @@ class FieldSpec:
         return range(self.q)
 
     def tables(self):
-        """(add, mul, neg, inv) flat lists for the kernel, or None when q > 256."""
+        """(add, mul, neg, inv) flat lists in ``kernels._row_reduce_tables``'s
+        argument order, or None when q > 256; only tests call it."""
         if self.add_t is None:
             return None
         return self.add_t, self.mul_t, self.neg_t, self.inv_t

@@ -292,18 +292,20 @@ class OperatorSpace:
         return coeffs if ok else None
 
     def contains(self, m: Matrix) -> bool:
-        return self.coords_of(m) is not None
+        """Whether m lies in S: it leaves the canonical basis at rank n."""
+        if m.field != self.field or m.rows != self.dim_v or m.cols != self.dim_u:
+            raise ValueError("matrix shape or field disagrees with the space")
+        rows, _ = rref_rows(self.field, self._cache["canon"] + (m.entries,))
+        return len(rows) == self.n
 
     # -- evaluation and closure --
-
-    def eval_rows(self, x) -> list:
-        return [m.apply(x) for m in self.basis]
 
     def eval_space(self, x) -> tuple:
         """Canonical basis of S(x) = {f(x) : f in S}."""
         if len(x) != self.dim_u:
             raise ValueError("vector length disagrees with dim_u")
-        rows, _ = rref_rows(self.field, self.eval_rows(x), width=self.dim_v)
+        rows, _ = rref_rows(self.field, [m.apply(x) for m in self.basis],
+                            width=self.dim_v)
         return rows
 
     def reflexive_closure(self) -> "OperatorSpace":

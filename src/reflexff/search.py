@@ -3,9 +3,11 @@
 The exhaustive mode walks every n-dimensional subspace of the space of
 dim_v x dim_u matrices over GF(q) exactly once, via unique reduced row
 echelon bases grouped by pivot-column pattern.  Pattern groups are
-independent, so the scan parallelizes perfectly and the merged report is
-identical for any worker count.  The random mode samples seeded uniform
-bases, runs serially and is reproducible from (seed, sample count).
+independent, so the work splits by pivot pattern and the merged report is
+identical for any worker count; the patterns are uneven (the largest holds
+59.6% of the q=3, 2x3, n=2 slice), so the largest one bounds the speedup.
+The random mode samples seeded uniform bases, runs serially and is
+reproducible from (seed, sample count).
 
 Candidates stay flat RREF entry tuples throughout the scan: the closure
 test and the rank walk of ``opspace`` read them directly, and only the

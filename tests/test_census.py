@@ -1,5 +1,7 @@
 import random
+from collections import Counter
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -9,14 +11,18 @@ from reflexff import (
     MembershipError,
     OperatorSpace,
     census_report,
+    construct_regular_rep,
     coset_make,
     coset_rank_profile,
+    field_from_order,
     field_make,
     incidence_count,
     mat_rank,
     nprime_count,
     proof_trace,
 )
+from reflexff import census, matrix, opspace
+from oracles import brute_closure_set, space_element_set
 
 GF2 = field_make(2)
 GF3 = field_make(3)
@@ -243,3 +249,128 @@ def test_trace_json_serializes_big_integers_as_strings():
     assert d["incidence_exact"] == str(16 * 4**38)
     claim1 = next(c for c in d["checks"] if c["name"] == "claim1")
     assert claim1["lhs"] == str(4**2 + 4**40 - 1)
+
+
+# -- the coset layer against computations that share nothing with it --
+
+# (q, dim_u, dim_v) with at most 729 candidate witnesses g to enumerate
+SHAPES = {2: [(2, 2), (3, 2), (2, 3)], 3: [(2, 2), (3, 2)], 4: [(2, 2)], 5: [(2, 2)]}
+
+
+def seeded_spaces(q, count, seed):
+    """``count`` seeded spaces over GF(q) with n in {1, 2}, each with its
+    closure fully enumerated; at least half are non-reflexive."""
+    f = field_from_order(q)
+    rng = random.Random(seed)
+    found, reflexive = [], 0
+    while len(found) < count:
+        dim_u, dim_v = rng.choice(SHAPES[q])
+        n = rng.randrange(1, 3)
+        basis = [Matrix(f, dim_v, dim_u,
+                        [rng.randrange(q) for _ in range(dim_u * dim_v)])
+                 for _ in range(n)]
+        try:
+            s = OperatorSpace(f, dim_u, dim_v, basis)
+        except ValueError:
+            continue
+        closure = brute_closure_set(s)
+        own = space_element_set(s)
+        if closure == own:
+            if reflexive >= count // 2:
+                continue
+            reflexive += 1
+        found.append((s, closure, own))
+    return found
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_coset_make_accepts_exactly_the_closure_outside_s(q):
+    for s, closure, own in seeded_spaces(q, 4, 6100 + q):
+        f, p, v = s.field, s.dim_u, s.dim_v
+        for entries in product(range(q), repeat=p * v):
+            g = Matrix(f, v, p, entries)
+            if entries in own:
+                with pytest.raises(MembershipError) as exc:
+                    coset_make(s, g)
+                assert exc.value.which == "in_space"
+            elif entries in closure:
+                assert coset_make(s, g).g == g
+            else:
+                with pytest.raises(MembershipError) as exc:
+                    coset_make(s, g)
+                assert exc.value.which == "not_in_closure"
+
+
+def brute_nprime(coset, h0_coeffs):
+    """Pairs (x, h), x a nonzero vector killed by h0, h another member of
+    T killing x, by enumerating every x."""
+    members = dict(coset.elements())
+    h0 = members.pop(h0_coeffs)
+    zero = (0,) * coset.space.dim_v
+    return sum(1 for x in product(range(coset.q), repeat=coset.p)
+               if any(x) and h0.apply(x) == zero
+               for h in members.values() if h.apply(x) == zero)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_census_report_matches_separate_computations(q):
+    rng = random.Random(6200 + q)
+    checked = 0
+    for s, closure, own in seeded_spaces(q, 6, 6300 + q):
+        outside = sorted(closure - own)
+        for entries in rng.sample(outside, min(2, len(outside))):
+            coset = coset_make(s, Matrix(s.field, s.dim_v, s.dim_u, entries))
+            p, n = coset.p, coset.n
+            rep = census_report(coset)
+            ranks = [(coeffs, mat_rank(h)) for coeffs, h in coset.elements()]
+            profile = Counter(rk for _, rk in ranks)
+            r = min(profile)
+            h0_coeffs = next(coeffs for coeffs, rk in ranks if rk == r)
+            m = sum(c for rk, c in profile.items() if rk <= n)
+            total = incidence_count(coset, "brute")
+            nprime = nprime_count(coset, coset.member(h0_coeffs))
+            assert nprime == brute_nprime(coset, h0_coeffs)
+            assert (rep.q, rep.p, rep.n) == (q, p, n)
+            assert rep.incidence_count == total
+            assert rep.rank_profile == dict(profile)
+            assert (rep.r, rep.m, rep.min_rank_multiplicity) == (r, m, profile[r])
+            assert rep.h0_coeffs == h0_coeffs
+            lower = (q**(p - 2 * n + 1) - 1) * (m - 1) if p >= 2 * n - 1 else None
+            assert rep.nprime_lower == lower
+            assert rep.nprime_count == nprime
+            coverage, floor_check = rep.verdicts
+            floor = q**n + q**p - 1
+            assert (coverage.name, coverage.lhs, coverage.rhs, coverage.holds) == (
+                "coverage", floor, total, floor <= total)
+            shape = (p >= 2 * n - 1 and r == n - 1 and profile[r] == 1
+                     and all(rk >= n for rk in profile if rk != r))
+            assert floor_check.name == "nprime_floor"
+            if shape:
+                assert (floor_check.lhs, floor_check.rhs, floor_check.holds) == (
+                    nprime, lower, nprime >= lower)
+            else:
+                assert floor_check.status == "skipped"
+            checked += 1
+    assert checked >= 6
+
+
+def test_census_report_ranks_each_member_once(monkeypatch):
+    calls = []
+    rank = census.mat_rank
+    monkeypatch.setattr(census, "mat_rank", lambda m: calls.append(m) or rank(m))
+    s = construct_regular_rep(GF3, 2)
+    g = next(b for b in s.reflexive_closure().basis if not s.contains(b))
+    for coset in (worked_coset(), coset_make(s, g)):
+        calls.clear()
+        census_report(coset)
+        assert len(calls) == coset.size()
+
+
+def test_coset_make_solves_nothing(monkeypatch):
+    calls = []
+    for module in (matrix, opspace):
+        solve = module.solve_membership
+        monkeypatch.setattr(module, "solve_membership",
+                            lambda *a, solve=solve: calls.append(a) or solve(*a))
+    worked_coset()
+    assert calls == []

@@ -186,7 +186,8 @@ def test_construct_then_analyze_pipeline(tmp_path):
     code, _, _ = run_cli(["construct", "regular-rep", "--p", "2", "--n", "2",
                           "--output", out_path])
     assert code == 0
-    payload = json.loads(open(out_path).read())
+    with open(out_path, encoding="utf-8") as fh:
+        payload = json.load(fh)
     assert payload["basis"][1]["entries"] == [[0, 1], [1, 1]]
     assert payload["_meta"]["params"] == {"family": "regular-rep", "p": 2, "n": 2}
     code, out, _ = run_cli(["analyze", out_path])
@@ -230,6 +231,56 @@ def test_pretty_flag(space_file):
     assert "operator space analysis" in out
     with pytest.raises(json.JSONDecodeError):
         json.loads(out)
+
+
+def test_census_pretty(space_file, e11_file):
+    code, out, _ = run_cli(["census", space_file, e11_file, "--pretty"])
+    assert code == 0
+    assert out == "\n".join([
+        "coset census",
+        "------------",
+        "                       q: 2",
+        "                       p: 2",
+        "                       n: 2",
+        "         incidence_count: 7",
+        "            rank_profile: {'1': 3, '2': 1}",
+        "                       r: 1",
+        "                       m: 4",
+        "   min_rank_multiplicity: 3",
+        "               h0_coeffs: [0, 0]",
+        "            nprime_lower: None",
+        "            nprime_count: 0",
+        "                coverage: 7 <= 7 -> True",
+        "            nprime_floor: skipped: needs p >= 2n-1, a unique rank n-1 "
+        "member, and all others of rank >= n",
+    ]) + "\n"
+
+
+def test_trace_pretty():
+    code, out, _ = run_cli(["trace", "--q", "2", "--p", "3", "--n", "2",
+                            "--profile", "1:1,2:3", "--pretty"])
+    assert code == 0
+    assert out == "\n".join([
+        "counting-argument trace",
+        "-----------------------",
+        "                       q: 2",
+        "                       p: 3",
+        "                       n: 2",
+        "                 profile: {'1': 1, '2': 3}",
+        "         incidence_exact: 10",
+        "              regime_met: True",
+        "           contradiction: True",
+        "       contradiction_via: coverage",
+        "                  claim1: skipped: profile has a member of rank below n",
+        "                coverage: 11 <= 10 -> False",
+        "                  claim2: 3 > 2 -> True",
+        "                  claim3: 4 <= 3 -> False",
+        "         claim3_factored: 1/1 >= 4/3 -> False",
+        "                   majo3: 10 <= 10 -> True",
+        "                   mino3: 11 <= 10 -> False",
+        "             minequality: 5 <= 4 -> False",
+        "         final_reduction: 2 <= 1 -> False",
+    ]) + "\n"
 
 
 def test_version_embedded(space_file):

@@ -150,6 +150,20 @@ def test_zero_space_is_reflexive(q, dim_u, dim_v):
     assert space.reflexive_closure().canonical_basis() == ()
 
 
+@pytest.mark.parametrize("q,entries", [(3, (2, 1, 1, 1)), (257, (3, 5, 7, 11))])
+def test_reflexive_closure_returns_the_canonical_basis(q, entries):
+    # one invertible map spans a reflexive space; its entries are not in
+    # RREF, and R(S) = S must still come back RREF-canonical, as the
+    # ``closure`` command writes it
+    f = field_from_order(q)
+    space = OperatorSpace(f, 2, 2, [Matrix(f, 2, 2, entries)])
+    canon = space.canonical_basis()
+    assert canon != (entries,)
+    closure = space.reflexive_closure()
+    assert closure.n == 1
+    assert tuple(m.entries for m in closure.basis) == canon
+
+
 @pytest.mark.parametrize("q", [256, 257, 512])
 def test_large_fields_store_no_memo(q):
     f = field_from_order(q)
