@@ -9,11 +9,14 @@ incidence set N = {(x, h) : h in T, h(x) = 0} then satisfies
     #N >= q^n + q^p - 1                         (coverage floor)
 
 A coset needs g outside S and inside the closure R(S) that S caches.  One
-walk over T ranks each member once; from it come the rank profile of T
-with its extremes r and m, #N by the rank formula, the distinguished
-member h0 (the first of least rank) and the kernel incidence count over
-h0.  #N is also counted by direct pair enumeration, and an exact-arithmetic
-tracer evaluates the inequality chain that bounds the minimal rank of S.
+walk over T (``opspace.rank_walk`` on flat entry tuples, offset by g)
+ranks each member once; from it come the rank profile of T with its
+extremes r and m, #N by the rank formula and the distinguished member h0
+(the first of least rank).  The kernel incidence count N' over h0 is one
+rank per other member h: h and h0 both kill exactly q^(p - rank [h0; h])
+vectors.  #N is also counted by direct pair enumeration, and an
+exact-arithmetic tracer evaluates the inequality chain that bounds the
+minimal rank of S.
 
 All arithmetic is exact (Python integers, fractions for the one factored
 inequality); nothing here is approximate.
@@ -24,9 +27,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
+from . import kernels
 from .errors import GuardExceeded, MembershipError
-from .matrix import Matrix, iter_vectors, mat_kernel, mat_rank
-from .opspace import OperatorSpace
+# mat_kernel and mat_rank stay bound here: perfbench/tracer.py wraps them by name
+from .matrix import Matrix, iter_vectors, mat_kernel, mat_rank  # noqa: F401
+from .opspace import OperatorSpace, rank_walk, walk_profile
 
 BRUTE_GUARD = 1 << 24  # max q^(p+n) pairs for brute incidence counting
 
@@ -44,18 +49,7 @@ class Coset:
                                   "not_in_closure")
         self.space = space
         self.g = g
-
-    @property
-    def q(self) -> int:
-        return self.space.field.q
-
-    @property
-    def p(self) -> int:
-        return self.space.dim_u
-
-    @property
-    def n(self) -> int:
-        return self.space.n
+        self.q, self.p, self.n = space.field.q, space.dim_u, space.n
 
     def size(self) -> int:
         return self.q**self.n
@@ -78,23 +72,18 @@ def coset_make(space: OperatorSpace, g: Matrix) -> Coset:
 
 
 def _walk(coset: Coset):
-    """(coefficients, member, rank) for every member of T, in
-    lexicographic coefficient order; one ``mat_rank`` per member."""
-    for coeffs, h in coset.elements():
-        yield coeffs, h, mat_rank(h)
+    """(coefficients, flat entries, rank) for every member of T, in
+    lexicographic coefficient order; one row reduction per member."""
+    s = coset.space
+    return rank_walk(s.field, s.dim_u, s.dim_v, [b.entries for b in s.basis],
+                     iter_vectors(coset.q, coset.n), coset.g.entries)
 
 
 def _profile(walk, n):
     """(rank -> count, min rank r, m = #{rank <= n}, multiplicity of r,
     the walk's entry for h0) from one walk over T.  h0 is the proof's
     distinguished member: the first one of rank r."""
-    profile: dict[int, int] = {}
-    r = h0 = None
-    for entry in walk:
-        rk = entry[2]
-        profile[rk] = profile.get(rk, 0) + 1
-        if r is None or rk < r:
-            r, h0 = rk, entry
+    profile, r, h0 = walk_profile(walk)
     m = sum(c for rk, c in profile.items() if rk <= n)
     return profile, r, m, profile[r], h0
 
@@ -128,22 +117,22 @@ def coset_rank_profile(coset: Coset):
 
 def nprime_count(coset: Coset, h0: Matrix) -> int:
     """Pairs (x, h) with x a nonzero kernel vector of h0, h in T \\ {h0},
-    and h(x) = 0, counted by enumerating the kernel of h0."""
+    and h(x) = 0, counted by one rank per member h (see ``_nprime``)."""
     c0 = coset.coords_of(h0)
     if c0 is None:
         raise ValueError("h0 is not a member of the coset")
-    return _nprime(h0, (h for coeffs, h in coset.elements() if coeffs != c0))
+    return _nprime(coset, h0.entries,
+                   (h for coeffs, h, _ in _walk(coset) if coeffs != c0))
 
 
-def _nprime(h0: Matrix, others) -> int:
-    """``nprime_count`` over the members ``others``, read once."""
-    f, p = h0.field, h0.cols
-    kern = mat_kernel(h0)
-    # columns are the kernel basis, so apply(ts) = sum ts_i kern_i
-    span = Matrix(f, p, len(kern), [v[i] for i in range(p) for v in kern])
-    xs = [span.apply(ts) for ts in iter_vectors(f.q, len(kern)) if any(ts)]
-    zero = (0,) * h0.rows
-    return sum(h.apply(x) == zero for h in others for x in xs)
+def _nprime(coset: Coset, h0, others) -> int:
+    """``nprime_count`` from the flat entries of h0 and of the members
+    ``others``.  Ker h0 and Ker h meet in the kernel of the stacked
+    2 dim_v x p map [h0; h], so h kills q^(p - rank [h0; h]) - 1 of the
+    nonzero kernel vectors of h0."""
+    f, q, p, v = coset.space.field, coset.q, coset.p, coset.space.dim_v
+    return sum(q**(p - len(kernels.row_reduce([*h0, *h], 2 * v, p, f)[1])) - 1
+               for h in others)
 
 
 @dataclass
@@ -166,15 +155,7 @@ class Check:
                 return f"{v.numerator}/{v.denominator}"
             return str(v)
 
-        return {
-            "name": self.name,
-            "relation": self.relation,
-            "lhs": enc(self.lhs),
-            "rhs": enc(self.rhs),
-            "holds": self.holds,
-            "status": self.status,
-            "reason": self.reason,
-        }
+        return {**vars(self), "lhs": enc(self.lhs), "rhs": enc(self.rhs)}
 
 
 @dataclass
@@ -191,7 +172,7 @@ class CensusReport:
     min_rank_multiplicity: int
     h0_coeffs: tuple
     nprime_lower: int | None
-    nprime_count: int | None
+    nprime_count: int
     verdicts: list = dc_field(default_factory=list)
 
     def to_dict(self) -> dict:
@@ -206,12 +187,12 @@ class CensusReport:
             "min_rank_multiplicity": self.min_rank_multiplicity,
             "h0_coeffs": list(self.h0_coeffs),
             "nprime_lower": None if self.nprime_lower is None else str(self.nprime_lower),
-            "nprime_count": None if self.nprime_count is None else str(self.nprime_count),
+            "nprime_count": str(self.nprime_count),
             "verdicts": [c.to_dict() for c in self.verdicts],
         }
 
 
-def census_report(coset: Coset, count_nprime: bool = True) -> CensusReport:
+def census_report(coset: Coset) -> CensusReport:
     q, p, n = coset.q, coset.p, coset.n
     walk = list(_walk(coset))
     profile, r, m, mult, (h0_coeffs, h0, _) = _profile(walk, n)
@@ -219,9 +200,7 @@ def census_report(coset: Coset, count_nprime: bool = True) -> CensusReport:
 
     nprime_lower = (q**(p - 2 * n + 1) - 1) * (m - 1) if p >= 2 * n - 1 else None
 
-    nprime = None
-    if count_nprime and q**(p - r + n) <= BRUTE_GUARD:
-        nprime = _nprime(h0, (h for coeffs, h, _ in walk if coeffs != h0_coeffs))
+    nprime = _nprime(coset, h0, (h for coeffs, h, _ in walk if coeffs != h0_coeffs))
 
     verdicts = []
     floor = q**n + q**p - 1
@@ -233,10 +212,6 @@ def census_report(coset: Coset, count_nprime: bool = True) -> CensusReport:
         verdicts.append(Check(
             "nprime_floor", ">=", status="skipped",
             reason="needs p >= 2n-1, a unique rank n-1 member, and all others of rank >= n"))
-    elif nprime is None:
-        verdicts.append(Check(
-            "nprime_floor", ">=", status="skipped",
-            reason="kernel enumeration over the guard size"))
     else:
         verdicts.append(Check(
             "nprime_floor", ">=", nprime, nprime_lower, nprime >= nprime_lower))

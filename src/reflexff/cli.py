@@ -1,10 +1,10 @@
 """Command-line front end: load spaces, run analyses, emit JSON reports.
 
 Exit codes are a stable contract:
-  0 success, 2 malformed input (including a malformed REFLEXFF_GUARD and
-  a search with --jobs below 1), 3 dependent basis, 4 census
-  membership failure, 5 enumeration guard exceeded, 10 rank-bound
-  violation.
+  0 success, 2 malformed input (including a malformed REFLEXFF_GUARD, a
+  search with --dim-u, --dim-v, --jobs or --guard below 1, and a trace
+  profile that repeats a rank), 3 dependent basis, 4 census membership
+  failure, 5 enumeration guard exceeded, 10 rank-bound violation.
 Reports go to stdout as pure JSON unless --output or --pretty is given;
 diagnostics go to stderr.
 """
@@ -132,7 +132,10 @@ def _parse_profile(text: str) -> dict:
         if not part:
             continue
         rank, _, count = part.partition(":")
-        profile[int(rank)] = int(count)
+        rank = int(rank)
+        if rank in profile:
+            raise ValueError(f"rank {rank} appears twice in the profile")
+        profile[rank] = int(count)
     if not profile:
         raise ValueError("empty profile")
     return profile

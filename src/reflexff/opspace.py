@@ -154,14 +154,11 @@ def closure_system(field, dim_u, dim_v, flats):
                     if rows == target:
                         return ent, piv
         return _reduced(ent, rows, width, field)
-    # No memo: the same steps, computed afresh at each point.  The body of
-    # ``_conditions`` is inlined here, because a call per point costs 2-4%
-    # of a 2x2 n=1 closure over GF(257).
+    # No memo: the same steps, computed afresh at each point.
     add, mul = field.add, field.mul
     # the nonzero (column, entry) pairs of each row of each basis map
     maprows = [[(j, e) for j, e in enumerate(fk[b:b + p]) if e]
                for fk in flats for b in range(0, width, p)]
-    zeros = [0] * p
     for x in iter_projective(field.q, p):
         images = []
         for r in maprows:
@@ -173,17 +170,11 @@ def closure_system(field, dim_u, dim_v, flats):
                     s = add(s, t) if s else t
             images.append(s)
         img, ipiv = kernels.row_reduce(images, n, v, field)
-        if len(ipiv) == v:
+        count = v - len(ipiv)
+        if not count:
             continue
-        for c in null_basis(field, img, ipiv, v):
-            for ci in c:
-                if ci == 1:
-                    ent.extend(x)
-                elif ci:
-                    ent.extend([mul(ci, xj) for xj in x])
-                else:
-                    ent.extend(zeros)
-            rows += 1
+        ent.extend(_conditions(field, x, img, ipiv, v))
+        rows += count
         if rows >= target:
             ent, piv = _reduced(ent, rows, width, field)
             rows = len(piv)
@@ -192,18 +183,22 @@ def closure_system(field, dim_u, dim_v, flats):
     return _reduced(ent, rows, width, field)
 
 
-def rank_walk(field, dim_u, dim_v, flats):
-    """(coefficients, rank) of one member sum c_k f_k per projective class.
+def rank_walk(field, dim_u, dim_v, flats, coeff_vectors, offset=None):
+    """(coefficients, entries, rank) of the member offset + sum c_k f_k for
+    each coefficient vector c of ``coeff_vectors``, in its order.
 
-    ``flats`` are the basis maps as flat row-major entry sequences;
-    coefficient vectors come in lexicographic order.  A consumer that
-    wants only the minimal rank may stop at the first rank 1.
+    ``flats`` (the basis maps) and ``offset`` are flat row-major entry
+    sequences, and each member's entries come back as a fresh list.
+    ``iter_projective`` coefficients walk one member per projective class
+    of S; ``iter_vectors`` coefficients with g's entries as the offset walk
+    the coset g + S.  A consumer that wants only the minimal rank of S may
+    stop at the first rank 1.
     """
-    width = dim_u * dim_v
+    start = [0] * (dim_u * dim_v) if offset is None else list(offset)
     add, mul = field.add, field.mul
     nonzero = [[(t, e) for t, e in enumerate(fk) if e] for fk in flats]
-    for coeffs in iter_projective(field.q, len(flats)):
-        member = [0] * width
+    for coeffs in coeff_vectors:
+        member = start[:]
         for c, fk in zip(coeffs, nonzero):
             if c:
                 for t, e in fk:
@@ -212,7 +207,20 @@ def rank_walk(field, dim_u, dim_v, flats):
                     m = member[t]
                     member[t] = add(m, e) if m else e
         _, piv = kernels.row_reduce(member, dim_v, dim_u, field)
-        yield coeffs, len(piv)
+        yield coeffs, member, len(piv)
+
+
+def walk_profile(walk):
+    """(rank -> count, least rank, the walk's first entry of least rank)
+    over the entries of one ``rank_walk``."""
+    profile: dict[int, int] = {}
+    least = first = None
+    for entry in walk:
+        rk = entry[2]
+        profile[rk] = profile.get(rk, 0) + 1
+        if least is None or rk < least:
+            least, first = rk, entry
+    return profile, least, first
 
 
 class OperatorSpace:
@@ -343,15 +351,9 @@ class OperatorSpace:
             return cached
         if self.n == 0:
             raise ValueError("rank scan requires a nonzero space")
-        dist: dict[int, int] = {}
-        best = None
-        witness = None
-        flats = [m.entries for m in self.basis]
-        for coeffs, r in rank_walk(self.field, self.dim_u, self.dim_v, flats):
-            dist[r] = dist.get(r, 0) + 1
-            if best is None or r < best:
-                best = r
-                witness = coeffs
+        dist, best, (witness, _, _) = walk_profile(rank_walk(
+            self.field, self.dim_u, self.dim_v, [m.entries for m in self.basis],
+            iter_projective(self.field.q, self.n)))
         result = (dist, best, witness)
         self._cache["rank_scan"] = result
         return result

@@ -30,7 +30,7 @@ from itertools import combinations, product
 
 from .errors import GuardExceeded, TheoremViolation
 from .field import FieldSpec, field_make
-from .matrix import Matrix, rref_rows
+from .matrix import Matrix, iter_projective, rref_rows
 from .opspace import OperatorSpace, closure_system, hyperplane_lld_check, rank_walk
 
 DEFAULT_GUARD = 10**7
@@ -121,7 +121,25 @@ class SearchParams:
     deep_checks: bool = False
 
     def guard_value(self) -> int:
-        return self.guard if self.guard is not None else default_guard()
+        if self.guard is None:
+            return default_guard()
+        if self.guard < 1:
+            raise ValueError(f"guard must be at least 1, got {self.guard}")
+        return self.guard
+
+
+def _ambient(params: SearchParams) -> int:
+    """dim_u * dim_v of a well-formed search, in either mode; a malformed
+    shape, n, job count or guard raises ValueError before any scan."""
+    if params.dim_u < 1 or params.dim_v < 1:
+        raise ValueError("dim_u and dim_v must be >= 1")
+    ambient = params.dim_u * params.dim_v
+    if not 0 <= params.n <= ambient:
+        raise ValueError(f"n must lie in [0, {ambient}], got {params.n}")
+    if params.jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {params.jobs}")
+    params.guard_value()
+    return ambient
 
 
 @dataclass
@@ -220,7 +238,8 @@ def _mrk(field, dim_u: int, dim_v: int, rows) -> int:
     """Minimal rank over the nonzero members of span(rows).  The walk stops
     at the first rank-1 member: no nonzero member has a smaller rank."""
     best = None
-    for _, r in rank_walk(field, dim_u, dim_v, rows):
+    for _, _, r in rank_walk(field, dim_u, dim_v, rows,
+                             iter_projective(field.q, len(rows))):
         if best is None or r < best:
             best = r
             if r == 1:
@@ -278,22 +297,14 @@ def _scan_pattern(args):
 
 def _run_exhaustive(params: SearchParams, collect_extremal: bool) -> _Acc:
     f = params.field
-    ambient = params.dim_u * params.dim_v
-    if params.n > ambient:
-        raise ValueError(f"n={params.n} exceeds the ambient dimension {ambient}")
-    if params.jobs < 1:
-        raise ValueError(f"jobs must be at least 1, got {params.jobs}")
+    ambient = _ambient(params)
     guard = params.guard_value()
     total = gaussian_binomial(ambient, params.n, f.q)
     if total > guard:
         raise GuardExceeded(
             f"enumeration of {total} subspaces exceeds the guard {guard}")
     check_2n3 = f.q > params.n >= 3
-    if params.n == 0:
-        acc = _Acc()
-        _scan_one(acc, f, params.dim_u, params.dim_v, (), collect_extremal,
-                  params.deep_checks, check_2n3)
-        return acc
+    # n = 0 has the one pattern (), whose one basis () is the zero space
     patterns = list(combinations(range(ambient), params.n))
     job_args = [
         (f.p, f.k, f.modulus, params.dim_u, params.dim_v, params.n, piv,
@@ -313,15 +324,11 @@ def _run_exhaustive(params: SearchParams, collect_extremal: bool) -> _Acc:
 
 
 def _run_random(params: SearchParams, collect_extremal: bool) -> _Acc:
+    ambient = _ambient(params)
     if params.samples < 1:
         raise ValueError("random mode needs samples >= 1")
-    if params.jobs < 1:
-        raise ValueError(f"jobs must be at least 1, got {params.jobs}")
     f = params.field
     q = f.q
-    ambient = params.dim_u * params.dim_v
-    if params.n > ambient:
-        raise ValueError(f"n={params.n} exceeds the ambient dimension {ambient}")
     check_2n3 = q > params.n >= 3
     rng = random.Random(params.seed)
     acc = _Acc()

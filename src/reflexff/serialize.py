@@ -6,9 +6,11 @@ The formats are stable contracts:
 * matrix: {"rows": R, "cols": C, "entries": [[...], ...]}  row-major rows
 * space:  {"field": {...}, "dim_u": P, "dim_v": V, "basis": [matrix, ...]}
 
-Entries are integer element encodings in [0, q).  Report quantities that
-can outgrow 53-bit consumers are serialized as decimal strings.  Emitted
-JSON is canonical: sorted keys, two-space indent, trailing newline.
+Entries are integer element encodings in [0, q); every number in a
+fragment must be a JSON integer (a float, bool or string raises
+ValueError).  Report quantities that can outgrow 53-bit consumers are
+serialized as decimal strings.  Emitted JSON is canonical: sorted keys,
+two-space indent, trailing newline.
 """
 
 from __future__ import annotations
@@ -27,10 +29,20 @@ def field_to_json(f: FieldSpec) -> dict:
     return out
 
 
+def _int(v, what: str) -> int:
+    """``v`` when it is a JSON integer; never coerces."""
+    if type(v) is not int:
+        raise ValueError(f"{what} must be a JSON integer, got {v!r}")
+    return v
+
+
 def field_from_json(d: dict) -> FieldSpec:
     if not isinstance(d, dict):
         raise ValueError("field fragment must be an object")
-    return field_make(int(d["p"]), int(d.get("k", 1)), d.get("modulus"))
+    modulus = d.get("modulus")
+    if modulus is not None:
+        modulus = [_int(c, "modulus coefficient") for c in modulus]
+    return field_make(_int(d["p"], "p"), _int(d.get("k", 1), "k"), modulus)
 
 
 def matrix_to_json(m: Matrix) -> dict:
@@ -41,11 +53,11 @@ def matrix_to_json(m: Matrix) -> dict:
 def matrix_from_json(d: dict, field: FieldSpec) -> Matrix:
     if not isinstance(d, dict):
         raise ValueError("matrix fragment must be an object")
-    rows, cols = int(d["rows"]), int(d["cols"])
+    rows, cols = _int(d["rows"], "rows"), _int(d["cols"], "cols")
     body = d["entries"]
     if len(body) != rows or any(len(r) != cols for r in body):
         raise ValueError("entries do not match the declared shape")
-    flat = [int(e) for r in body for e in r]
+    flat = [_int(e, "entry") for r in body for e in r]
     return Matrix(field, rows, cols, flat)
 
 
@@ -62,7 +74,7 @@ def space_from_json(d: dict) -> OperatorSpace:
     if not isinstance(d, dict):
         raise ValueError("space file must hold a JSON object")
     f = field_from_json(d["field"])
-    dim_u, dim_v = int(d["dim_u"]), int(d["dim_v"])
+    dim_u, dim_v = _int(d["dim_u"], "dim_u"), _int(d["dim_v"], "dim_v")
     basis = [matrix_from_json(m, f) for m in d["basis"]]
     return OperatorSpace(f, dim_u, dim_v, basis)
 

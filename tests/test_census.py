@@ -21,7 +21,7 @@ from reflexff import (
     nprime_count,
     proof_trace,
 )
-from reflexff import census, matrix, opspace
+from reflexff import census, kernels, matrix, opspace
 from oracles import brute_closure_set, space_element_set
 
 GF2 = field_make(2)
@@ -355,15 +355,37 @@ def test_census_report_matches_separate_computations(q):
 
 
 def test_census_report_ranks_each_member_once(monkeypatch):
-    calls = []
-    rank = census.mat_rank
-    monkeypatch.setattr(census, "mat_rank", lambda m: calls.append(m) or rank(m))
     s = construct_regular_rep(GF3, 2)
     g = next(b for b in s.reflexive_closure().basis if not s.contains(b))
     for coset in (worked_coset(), coset_make(s, g)):
-        calls.clear()
+        shapes, built = Counter(), []
+        reduce, init = kernels.row_reduce, Matrix.__init__
+        monkeypatch.setattr(kernels, "row_reduce", lambda e, rows, cols, f: (
+            shapes.update([(rows, cols)]), reduce(e, rows, cols, f))[1])
+        monkeypatch.setattr(Matrix, "__init__",
+                            lambda m, *a: built.append(a) or init(m, *a))
         census_report(coset)
-        assert len(calls) == coset.size()
+        monkeypatch.undo()
+        p, v, size = coset.p, coset.space.dim_v, coset.size()
+        # one rank per member, one stacked [h0; h] rank per other member
+        assert shapes == {(v, p): size, (2 * v, p): size - 1}
+        assert built == []
+
+
+def test_census_report_counts_nprime_past_the_brute_guard(monkeypatch):
+    monkeypatch.setattr(census, "BRUTE_GUARD", 1)
+    counts = []
+    for q in (2, 3):
+        for s, closure, own in seeded_spaces(q, 6, 6400 + q):
+            outside = sorted(closure - own)
+            if not outside:
+                continue
+            coset = coset_make(s, Matrix(s.field, s.dim_v, s.dim_u, outside[0]))
+            rep = census_report(coset)
+            assert rep.nprime_count == brute_nprime(coset, rep.h0_coeffs)
+            assert rep.to_dict()["nprime_count"] == str(rep.nprime_count)
+            counts.append(rep.nprime_count)
+    assert len(counts) >= 4 and any(counts)
 
 
 def test_coset_make_solves_nothing(monkeypatch):

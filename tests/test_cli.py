@@ -125,6 +125,48 @@ def test_trace_contradictions():
     assert code == 2 and "sum" in err
 
 
+def test_trace_repeated_rank_exit_2():
+    code, out, err = run_cli(["trace", "--q", "2", "--p", "3", "--n", "1",
+                              "--profile", "1:2,1:2"])
+    assert code == 2 and out == ""
+    assert err.startswith("error: rank 1 appears twice") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("path, value", [
+    (("basis", 0, "entries", 0, 0), 1.7),
+    (("basis", 0, "entries", 0, 0), True),
+    (("basis", 0, "entries", 0, 0), "1"),
+    (("basis", 0, "rows"), 2.0),
+    (("basis", 0, "cols"), "2"),
+    (("dim_u",), 2.0),
+    (("dim_v",), True),
+    (("field", "p"), 2.9),
+    (("field", "k"), 1.0),
+])
+def test_analyze_non_integer_value_exit_2(tmp_path, path, value):
+    d = space_to_json(construct_regular_rep(field_make(2), 2))
+    node = d
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(dumps(d))
+    code, out, err = run_cli(["analyze", str(bad)])
+    assert code == 2 and out == ""
+    assert "must be a JSON integer" in err and "Traceback" not in err
+
+
+def test_analyze_non_integer_modulus_exit_2(tmp_path):
+    d = space_to_json(construct_regular_rep(field_make(2), 2))
+    d["field"] = {"p": 2, "k": 2, "modulus": [1, 1.0, 1]}
+    d["basis"] = []
+    bad = tmp_path / "bad.json"
+    bad.write_text(dumps(d))
+    code, out, err = run_cli(["analyze", str(bad)])
+    assert code == 2 and out == ""
+    assert "modulus coefficient must be a JSON integer" in err
+
+
 def test_search_exhaustive(space_file):
     code, out, _ = run_cli(["search", "--q", "2", "--dim-u", "2", "--dim-v", "2",
                             "--n", "2", "--mode", "exhaustive"])
@@ -173,6 +215,34 @@ def test_random_search_jobs_below_one_exit_2(jobs):
                               "--jobs", jobs])
     assert code == 2 and out == ""
     assert err.startswith("error: jobs") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("mode", ["exhaustive", "random"])
+@pytest.mark.parametrize("dims", [("0", "2"), ("2", "0"), ("-1", "2")])
+def test_search_dim_below_one_exit_2(mode, dims):
+    code, out, err = run_cli(["search", "--q", "2", "--dim-u", dims[0],
+                              "--dim-v", dims[1], "--n", "1", "--mode", mode,
+                              "--samples", "3"])
+    assert code == 2 and out == ""
+    assert err.startswith("error: dim_u and dim_v") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("mode", ["exhaustive", "random"])
+@pytest.mark.parametrize("guard", ["0", "-5"])
+def test_search_guard_below_one_exit_2(mode, guard):
+    code, out, err = run_cli(["search", "--q", "2", "--dim-u", "2", "--dim-v", "2",
+                              "--n", "2", "--mode", mode, "--samples", "3",
+                              "--guard", guard])
+    assert code == 2 and out == ""
+    assert err.startswith("error: guard") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("mode", ["exhaustive", "random"])
+def test_search_negative_n_exit_2(mode):
+    code, out, err = run_cli(["search", "--q", "2", "--dim-u", "2", "--dim-v", "2",
+                              "--n", "-1", "--mode", mode, "--samples", "3"])
+    assert code == 2 and out == ""
+    assert err.startswith("error: n must lie in") and "Traceback" not in err
 
 
 def test_search_nonprimepower_q_exit_2():

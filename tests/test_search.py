@@ -328,8 +328,8 @@ def test_2n_minus_3_status_applicability():
 def test_theorem_violation_raises_loudly(monkeypatch):
     import reflexff.search as search
 
-    def fake_walk(field, dim_u, dim_v, flats):
-        yield (1,) * len(flats), 99
+    def fake_walk(field, dim_u, dim_v, flats, coeff_vectors, offset=None):
+        yield (1,) * len(flats), [1] * (dim_u * dim_v), 99
 
     monkeypatch.setattr(search, "rank_walk", fake_walk)
     with pytest.raises(TheoremViolation) as exc:

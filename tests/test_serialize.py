@@ -67,3 +67,39 @@ def test_dumps_is_canonical():
     assert a == b
     assert a.endswith("\n")
     assert json.loads(a) == {"a": [2, 3], "b": 1}
+
+
+@pytest.mark.parametrize("value", [1.7, 1.0, True, False, "1", None])
+def test_matrix_entries_must_be_json_integers(value):
+    f = field_make(2)
+    with pytest.raises(ValueError, match="entry must be a JSON integer"):
+        matrix_from_json({"rows": 1, "cols": 2, "entries": [[value, 0]]}, f)
+
+
+@pytest.mark.parametrize("key, value", [("rows", 1.0), ("cols", True), ("rows", "1")])
+def test_matrix_shape_must_be_json_integers(key, value):
+    d = {"rows": 1, "cols": 2, "entries": [[1, 0]]}
+    d[key] = value
+    with pytest.raises(ValueError, match=f"{key} must be a JSON integer"):
+        matrix_from_json(d, field_make(2))
+
+
+@pytest.mark.parametrize("key, value", [("dim_u", 2.0), ("dim_v", True), ("dim_u", "2")])
+def test_space_dims_must_be_json_integers(key, value):
+    d = space_to_json(construct_regular_rep(field_make(2), 2))
+    d[key] = value
+    with pytest.raises(ValueError, match=f"{key} must be a JSON integer"):
+        space_from_json(d)
+
+
+@pytest.mark.parametrize("fragment, what", [
+    ({"p": 2.9}, "p"),
+    ({"p": True}, "p"),
+    ({"p": "2"}, "p"),
+    ({"p": 2, "k": 2.0}, "k"),
+    ({"p": 2, "k": 2, "modulus": [1, True, 1]}, "modulus coefficient"),
+    ({"p": 2, "k": 2, "modulus": [1, 1, "1"]}, "modulus coefficient"),
+])
+def test_field_values_must_be_json_integers(fragment, what):
+    with pytest.raises(ValueError, match=f"{what} must be a JSON integer"):
+        field_from_json(fragment)
