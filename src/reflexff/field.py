@@ -126,7 +126,7 @@ class FieldSpec:
     __slots__ = (
         "p", "k", "q", "modulus",
         "neg_t", "inv_t", "add_t", "mul_t",
-        "_exp", "_log",
+        "_exp", "_log", "_hash",
     )
 
     def __init__(self, p: int, k: int, modulus):
@@ -162,6 +162,8 @@ class FieldSpec:
                     raise ValueError(
                         f"{_poly_str(modulus)} is reducible over GF({p})")
             self.modulus = modulus
+        # hashed on every memo lookup keyed by the field, so computed once
+        self._hash = hash((p, k, self.modulus))
 
         self.neg_t = [(-a) % p if k == 1 else self._neg_digits(a) for a in range(q)]
 
@@ -320,7 +322,7 @@ class FieldSpec:
                 and (self.p, self.k, self.modulus) == (other.p, other.k, other.modulus))
 
     def __hash__(self):
-        return hash((self.p, self.k, self.modulus))
+        return self._hash
 
     def __repr__(self):
         if self.k == 1:

@@ -36,11 +36,14 @@ from .matrix import (  # noqa: F401  (mat_rank: perfbench/tracer.py wraps it her
 )
 
 
-# A shape (field, dim_u, dim_v, n) gets a closure memo only when the memo
-# can hold at most this many values, which also bounds its memory.  In
-# larger shapes keys are rarely met twice, and filling a row's values at
-# every point costs more than the early exit leaves to do (a 2x2 closure
-# over GF(256) stops after a few of its 257 points), so they store nothing.
+# Bounds the memory of each per-shape memo.  A shape (field, dim_u, dim_v,
+# n) gets a closure memo only when the memo can hold at most this many
+# values.  In larger shapes keys are rarely met twice, and filling a row's
+# values at every point costs more than the early exit leaves to do (a 2x2
+# closure over GF(256) stops after a few of its 257 points), so they store
+# nothing.  A rank memo (field, dim_u, dim_v) counts dim_u*dim_v values per
+# member it stores and takes no more members once the next would pass this
+# many; it still serves lookups.
 _MEMO_LIMIT = 1 << 16
 
 # (field, dim_u, dim_v, n) -> (points, the points as the rows of a Matrix,
@@ -48,6 +51,11 @@ _MEMO_LIMIT = 1 << 16
 # never at import.  An entry depends only on its key, so sharing the memo
 # across callers cannot change a result.
 _closure_memos: dict = {}
+
+# (field, dim_u, dim_v) -> {member's entry tuple: rank}; filled lazily by
+# ``rank_walk``, never at import.  The key holds the field, not q: a rank
+# over GF(8) depends on the modulus.
+_rank_memos: dict = {}
 
 
 @functools.lru_cache(maxsize=256)
@@ -193,10 +201,20 @@ def rank_walk(field, dim_u, dim_v, flats, coeff_vectors, offset=None):
     of S; ``iter_vectors`` coefficients with g's entries as the offset walk
     the coset g + S.  A consumer that wants only the minimal rank of S may
     stop at the first rank 1.
+
+    A rank depends only on the member's entries and the shape (field,
+    dim_u, dim_v), so each process keeps one rank memo per shape, filled
+    lazily and keyed by the entry tuple: a member is reduced at most once
+    however many spaces or cosets contain it.  The memo stops taking
+    members once it holds ``_MEMO_LIMIT`` values (dim_u*dim_v per member)
+    and still serves lookups after that.
     """
-    start = [0] * (dim_u * dim_v) if offset is None else list(offset)
+    width = dim_u * dim_v
+    start = [0] * width if offset is None else list(offset)
     add, mul = field.add, field.mul
     nonzero = [[(t, e) for t, e in enumerate(fk) if e] for fk in flats]
+    ranks = _rank_memos.setdefault((field, dim_u, dim_v), {})
+    room = _MEMO_LIMIT // width
     for coeffs in coeff_vectors:
         member = start[:]
         for c, fk in zip(coeffs, nonzero):
@@ -206,8 +224,13 @@ def rank_walk(field, dim_u, dim_v, flats, coeff_vectors, offset=None):
                         e = mul(c, e)
                     m = member[t]
                     member[t] = add(m, e) if m else e
-        _, piv = kernels.row_reduce(member, dim_v, dim_u, field)
-        yield coeffs, member, len(piv)
+        key = tuple(member)
+        rank = ranks.get(key)
+        if rank is None:
+            rank = len(kernels.row_reduce(key, dim_v, dim_u, field)[1])
+            if len(ranks) < room:
+                ranks[key] = rank
+        yield coeffs, member, rank
 
 
 def walk_profile(walk):

@@ -360,6 +360,9 @@ def test_census_report_ranks_each_member_once(monkeypatch):
     for coset in (worked_coset(), coset_make(s, g)):
         shapes, built = Counter(), []
         reduce, init = kernels.row_reduce, Matrix.__init__
+        # an empty rank memo: a coset's members are distinct, so each one
+        # is reduced exactly once
+        monkeypatch.setattr(opspace, "_rank_memos", {})
         monkeypatch.setattr(kernels, "row_reduce", lambda e, rows, cols, f: (
             shapes.update([(rows, cols)]), reduce(e, rows, cols, f))[1])
         monkeypatch.setattr(Matrix, "__init__",

@@ -1,8 +1,11 @@
 """The scan-native closure and rank walk against the algorithms they
 replaced (``reference``) and against an enumeration-only duality oracle,
-and the edges of the closure scan's per-shape memo."""
+and the edges of the per-shape memos of the closure scan and the rank
+walk."""
 
+import itertools
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import assume, given, settings
@@ -21,7 +24,7 @@ from reflexff import (
     opspace_make,
     rref_rows,
 )
-from reflexff import opspace
+from reflexff import kernels, opspace
 from reflexff.matrix import null_basis
 from reflexff.opspace import closure_system
 from reflexff.search import _mrk
@@ -205,6 +208,63 @@ def test_memo_keys_separate_fields(monkeypatch):
         assert system_closure(space) == reference_closure_basis(space)
     assert set(opspace._closure_memos) == {
         (gf8_a, 2, 2, 1), (gf8_b, 2, 2, 1), (gf3, 3, 2, 2), (gf3, 2, 3, 2)}
+
+
+def test_rank_memo_keys_separate_fields(monkeypatch):
+    monkeypatch.setattr(opspace, "_rank_memos", {})
+    gf8_a = field_make(2, 3, (1, 1, 0, 1))  # x^3 + x + 1
+    gf8_b = field_make(2, 3, (1, 0, 1, 1))  # x^3 + x^2 + 1
+    # 2x2 entry tuples of rank 1 in one field and rank 2 in the other
+    split = [e for e in itertools.product(range(1, 8), repeat=4)
+             if (gf8_a.mul(e[0], e[3]) == gf8_a.mul(e[1], e[2]))
+             != (gf8_b.mul(e[0], e[3]) == gf8_b.mul(e[1], e[2]))]
+    rng = random.Random(9)
+    sample = rng.sample(split, 8)
+    for entries in sample:
+        other = [rng.randrange(8) for _ in range(4)]
+        for f in (gf8_a, gf8_b):
+            for basis in ([entries], [entries, other]):
+                try:
+                    space = opspace_make(f, 2, 2, [Matrix(f, 2, 2, b) for b in basis])
+                except DependentBasisError:
+                    continue
+                dist, best, witness = reference_rank_scan(space)
+                assert space.rank_distribution() == dist
+                assert space.mrk() == (best, witness)
+    memos = opspace._rank_memos
+    assert set(memos) == {(gf8_a, 2, 2), (gf8_b, 2, 2)}
+    assert all(memos[(gf8_a, 2, 2)][e] != memos[(gf8_b, 2, 2)][e] for e in sample)
+
+
+def test_rank_memo_stops_taking_members_at_its_bound(monkeypatch):
+    monkeypatch.setattr(opspace, "_rank_memos", {})
+    monkeypatch.setattr(opspace, "_MEMO_LIMIT", 40)
+    f = field_from_order(3)
+    rng = random.Random(10)
+    # 20 spaces of 4 projective members each: far more than 40 / 4 members
+    for _ in range(20):
+        space = _random_space(f, 2, 2, 2, rng)
+        dist, best, witness = reference_rank_scan(space)
+        assert space.rank_distribution() == dist
+        assert space.mrk() == (best, witness)
+        assert _mrk(f, 2, 2, space.canonical_basis()) == best
+    ranks = opspace._rank_memos[(f, 2, 2)]
+    assert len(ranks) * 4 == 40
+    assert all(mat_rank(Matrix(f, 2, 2, e)) == r for e, r in ranks.items())
+
+
+def test_warm_rank_memo_reduces_no_member(monkeypatch):
+    # the exhaustive-gf2 slice of the benchmark: GF(2), dim_v=2, dim_u=3, n=3
+    params = SearchParams(field=field_from_order(2), dim_u=3, dim_v=2, n=3)
+    warm = exhaustive_verify(params)
+    shapes = Counter()
+    reduce = kernels.row_reduce
+    monkeypatch.setattr(kernels, "row_reduce", lambda e, rows, cols, f: (
+        shapes.update([(rows, cols)]), reduce(e, rows, cols, f))[1])
+    again = exhaustive_verify(params)
+    monkeypatch.undo()
+    assert again.to_dict() == warm.to_dict()
+    assert shapes[(2, 3)] == 0
 
 
 @st.composite

@@ -147,6 +147,21 @@ def test_field_value_semantics_and_pickle():
     assert g.mul(3, 3) == f.mul(3, 3)
 
 
+def test_field_hash_is_cached_and_agrees_with_equality():
+    import pickle
+
+    from reflexff.field import FieldSpec
+
+    for p, k, modulus in ((2, 3, (1, 1, 0, 1)), (3, 2, (1, 0, 1)), (5, 1, None)):
+        f = field_make(p, k)
+        equal = (field_make(p, k, modulus), FieldSpec(p, k, modulus),
+                 pickle.loads(pickle.dumps(f)))
+        for g in equal:
+            assert g == f
+            assert hash(g) == hash(f) == hash((p, k, modulus))
+    assert field_make(2, 3) != field_make(2, 3, (1, 0, 1, 1))
+
+
 def test_element_encoding_is_base_p_digits():
     # alpha in GF(9) is encoded as 3 (digits [0, 1]); alpha + 2 is 5
     f = field_make(3, 2)

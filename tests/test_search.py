@@ -183,6 +183,22 @@ def test_spawn_workers_rebuild_the_closure_memo(monkeypatch):
     assert sizes == ([2] if (os.cpu_count() or 1) >= 2 else [])
 
 
+def test_spawn_workers_walk_ranks_from_an_empty_memo(monkeypatch):
+    import multiprocessing
+
+    import reflexff.search as search
+
+    # the exhaustive-gf2 slice: the parent's rank memo is warm, every
+    # spawned worker's starts empty; the merged report must not depend on it
+    spawn_pool = multiprocessing.get_context("spawn").Pool
+    monkeypatch.setattr(search.multiprocessing, "Pool", spawn_pool)
+    base = dict(field=GF2, dim_u=3, dim_v=2, n=3)
+    serial = exhaustive_verify(SearchParams(jobs=1, **base))
+    pooled = exhaustive_verify(SearchParams(jobs=2, **base))
+    assert pooled.nonreflexive_count == 951
+    assert dumps(pooled.to_dict()) == dumps(serial.to_dict())
+
+
 def test_benchmark_slice_gf3_counts():
     # the exhaustive-gf3 slice of the benchmark: GF(3), dim_v=2, dim_u=3, n=2
     report = exhaustive_verify(SearchParams(field=GF3, dim_u=3, dim_v=2, n=2))
