@@ -32,6 +32,7 @@ from .errors import GuardExceeded, MembershipError
 # mat_kernel and mat_rank stay bound here: perfbench/tracer.py wraps them by name
 from .matrix import Matrix, iter_vectors, mat_kernel, mat_rank  # noqa: F401
 from .opspace import OperatorSpace, rank_walk, walk_profile
+from .search import default_guard
 
 BRUTE_GUARD = 1 << 24  # max q^(p+n) pairs for brute incidence counting
 
@@ -73,7 +74,10 @@ def coset_make(space: OperatorSpace, g: Matrix) -> Coset:
 
 def _walk(coset: Coset):
     """(coefficients, flat entries, rank) for every member of T, in
-    lexicographic coefficient order; one row reduction per member."""
+    lexicographic order; GuardExceeded first when q^n passes the guard."""
+    size, guard = coset.size(), default_guard()
+    if size > guard:
+        raise GuardExceeded(f"coset of {size} members exceeds the guard {guard}")
     s = coset.space
     return rank_walk(s.field, s.dim_u, s.dim_v, [b.entries for b in s.basis],
                      iter_vectors(coset.q, coset.n), coset.g.entries)
@@ -193,6 +197,8 @@ class CensusReport:
 
 
 def census_report(coset: Coset) -> CensusReport:
+    """The census of T = g + S.  Its ``nprime_floor`` verdict is expected to
+    be ``skipped``: no real coset has yet been seen to take the shape it needs."""
     q, p, n = coset.q, coset.p, coset.n
     walk = list(_walk(coset))
     profile, r, m, mult, (h0_coeffs, h0, _) = _profile(walk, n)

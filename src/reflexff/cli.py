@@ -1,10 +1,10 @@
 """Command-line front end: load spaces, run analyses, emit JSON reports.
 
 Exit codes are a stable contract:
-  0 success, 2 malformed input (including a malformed REFLEXFF_GUARD, a
-  search with --dim-u, --dim-v, --jobs or --guard below 1, and a trace
-  profile that repeats a rank), 3 dependent basis, 4 census membership
-  failure, 5 enumeration guard exceeded, 10 rank-bound violation.
+  0 success, 2 malformed input (including a malformed REFLEXFF_GUARD, a search
+  with --dim-u, --dim-v, --jobs or --guard below 1, and a trace profile that
+  repeats a rank), 3 dependent basis, 4 census membership failure, 5 guard
+  exceeded by a search slice or a census coset, 10 rank-bound violation.
 Reports go to stdout as pure JSON unless --output or --pretty is given;
 diagnostics go to stderr.
 """

@@ -17,7 +17,6 @@ scanned in lexicographic order and returned bases are RREF-canonical.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 from . import kernels
@@ -36,50 +35,50 @@ from .matrix import (  # noqa: F401  (mat_rank: perfbench/tracer.py wraps it her
 )
 
 
-# Bounds the memory of each per-shape memo.  A shape (field, dim_u, dim_v,
-# n) gets a closure memo only when the memo can hold at most this many
-# values.  In larger shapes keys are rarely met twice, and filling a row's
-# values at every point costs more than the early exit leaves to do (a 2x2
-# closure over GF(256) stops after a few of its 257 points), so they store
-# nothing.  A rank memo (field, dim_u, dim_v) counts dim_u*dim_v values per
-# member it stores and takes no more members once the next would pass this
-# many; it still serves lookups.
+# Every per-shape memo takes entries until they hold this many values (those
+# of each key and of its stored tuple), then only serves lookups.
 _MEMO_LIMIT = 1 << 16
 
-# (field, dim_u, dim_v, n) -> (points, the points as the rows of a Matrix,
-# row values, conditions per point); filled lazily by ``closure_system``,
-# never at import.  An entry depends only on its key, so sharing the memo
-# across callers cannot change a result.
+
+class _Memo(dict):
+    """A dict that takes entries while ``room`` values are left."""
+
+    def __init__(self, room):
+        self.room = room
+
+    def keep(self, key, value, size):
+        """``value``, stored under ``key`` when its ``size`` values fit."""
+        if size <= self.room:
+            self.room -= size
+            self[key] = value
+        return value
+
+
+# (field, dim_u, dim_v) -> (points, the points as the rows of a Matrix, row
+# values, a condition _Memo per point); filled lazily by ``closure_system``.
+# An entry depends only on its key; an image tuple's length tells n.
 _closure_memos: dict = {}
 
-# (field, dim_u, dim_v) -> {member's entry tuple: rank}; filled lazily by
-# ``rank_walk``, never at import.  The key holds the field, not q: a rank
-# over GF(8) depends on the modulus.
+# (field, dim_u, dim_v) -> _Memo {member's entry tuple: rank}; filled lazily
+# by ``rank_walk``.  The field, not q: a rank over GF(8) depends on the modulus.
 _rank_memos: dict = {}
 
 
-@functools.lru_cache(maxsize=256)
-def _memo_fits(q, dim_u, dim_v, n):
-    """Whether the memo of this shape holds at most ``_MEMO_LIMIT`` values:
-    each of the q^dim_u rows stores its value at every projective point,
-    and each (point, image tuple) stores at most dim_v condition rows of
-    dim_u*dim_v entries.  n = 0 has no images to key on."""
-    points = (q**dim_u - 1) // (q - 1)
-    values = points * (q**dim_u + q**(n * dim_v) * dim_v * dim_u * dim_v)
-    return n > 0 and values <= _MEMO_LIMIT
-
-
-def _closure_memo(field, dim_u, dim_v, n):
-    """The shape's memo, created empty on first use; None when it does
-    not fit."""
-    if not _memo_fits(field.q, dim_u, dim_v, n):
-        return None
-    key = (field, dim_u, dim_v, n)
+def _closure_memo(field, dim_u, dim_v):
+    """The shape's memo, created on first use; its points' condition memos
+    share ``_MEMO_LIMIT``.  None when the q^dim_u rows' values alone would
+    pass it: there they cost more than the early exit leaves to do (a 2x2
+    closure over GF(256) stops after a few of its 257 points)."""
+    key = (field, dim_u, dim_v)
     memo = _closure_memos.get(key)
     if memo is None:
-        points = tuple(iter_projective(field.q, dim_u))
+        q = field.q
+        if (q**dim_u - 1) // (q - 1) * q**dim_u > _MEMO_LIMIT:
+            return None
+        points = tuple(iter_projective(q, dim_u))
         at_points = Matrix(field, len(points), dim_u, [e for x in points for e in x])
-        memo = _closure_memos[key] = (points, at_points, {}, [{} for _ in points])
+        memo = _closure_memos[key] = (
+            points, at_points, {}, [_Memo(_MEMO_LIMIT // len(points)) for _ in points])
     return memo
 
 
@@ -121,12 +120,9 @@ def closure_system(field, dim_u, dim_v, flats):
     pivots); R(S) is its null space.
 
     The conditions at x depend only on x and the image tuple, so a shape
-    (field, dim_u, dim_v, n) whose memo can hold at most ``_MEMO_LIMIT``
-    values keeps one per process, filled lazily: each basis-map row's
-    values at every point, and each (point, image tuple)'s conditions.  A
-    candidate then costs one lookup per point.  Larger shapes, such as
-    2x2 spaces over GF(256) and up, and n = 0 compute every point afresh
-    and store nothing.
+    may keep each basis-map row's values at every point and each (point,
+    image tuple)'s conditions in a per-process memo (``_closure_memo``);
+    a candidate then costs one lookup per point.  n = 0 keeps none.
     """
     p, v = dim_u, dim_v
     width = p * v
@@ -135,7 +131,7 @@ def closure_system(field, dim_u, dim_v, flats):
     ent, rows = [], 0
     if not target:
         return ent, ()
-    memo = _closure_memo(field, p, v, n)
+    memo = _closure_memo(field, p, v) if n else None
     if memo is not None:
         points, at_points, values, known = memo
         cols = []
@@ -150,8 +146,9 @@ def closure_system(field, dim_u, dim_v, flats):
             step = seen.get(images)
             if step is None:
                 img, ipiv = kernels.row_reduce(images, n, v, field)
-                step = seen[images] = (_conditions(field, x, img, ipiv, v),
-                                       v - len(ipiv))
+                cond = _conditions(field, x, img, ipiv, v)
+                step = seen.keep(images, (cond, v - len(ipiv)),
+                                 len(images) + len(cond))
             cond, count = step
             if count:
                 ent.extend(cond)
@@ -202,19 +199,17 @@ def rank_walk(field, dim_u, dim_v, flats, coeff_vectors, offset=None):
     the coset g + S.  A consumer that wants only the minimal rank of S may
     stop at the first rank 1.
 
-    A rank depends only on the member's entries and the shape (field,
-    dim_u, dim_v), so each process keeps one rank memo per shape, filled
-    lazily and keyed by the entry tuple: a member is reduced at most once
-    however many spaces or cosets contain it.  The memo stops taking
-    members once it holds ``_MEMO_LIMIT`` values (dim_u*dim_v per member)
-    and still serves lookups after that.
+    Each process keeps one rank memo per shape (field, dim_u, dim_v),
+    keyed by the entry tuple and bounded like every memo (``_Memo``): a
+    member is reduced at most once however many spaces or cosets hold it.
     """
     width = dim_u * dim_v
     start = [0] * width if offset is None else list(offset)
     add, mul = field.add, field.mul
     nonzero = [[(t, e) for t, e in enumerate(fk) if e] for fk in flats]
-    ranks = _rank_memos.setdefault((field, dim_u, dim_v), {})
-    room = _MEMO_LIMIT // width
+    ranks = _rank_memos.get((field, dim_u, dim_v))
+    if ranks is None:
+        ranks = _rank_memos[(field, dim_u, dim_v)] = _Memo(_MEMO_LIMIT)
     for coeffs in coeff_vectors:
         member = start[:]
         for c, fk in zip(coeffs, nonzero):
@@ -227,9 +222,8 @@ def rank_walk(field, dim_u, dim_v, flats, coeff_vectors, offset=None):
         key = tuple(member)
         rank = ranks.get(key)
         if rank is None:
-            rank = len(kernels.row_reduce(key, dim_v, dim_u, field)[1])
-            if len(ranks) < room:
-                ranks[key] = rank
+            rank = ranks.keep(key, len(kernels.row_reduce(
+                key, dim_v, dim_u, field)[1]), width)
         yield coeffs, member, rank
 
 

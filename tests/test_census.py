@@ -211,6 +211,56 @@ def test_trace_final_chain_contradiction():
     assert by_name["final_reduction"].holds is False  # 2 <= 1
 
 
+def _nprime_floor_shapes(per, seed):
+    """(q, p, n, profile) over q in {2, 3, 4, 5, 7}, n in {2, 3, 4} and
+    2n-1 <= p <= 2n+3, for profiles of the shape the ``nprime_floor``
+    verdict needs: one member of rank n-1 and the other q^n - 1 of rank
+    n..p.  Each (q, p, n) gives every profile with one such rank and
+    ``per`` seeded uniform compositions over all of them."""
+    rng = random.Random(seed)
+    for q, n in product((2, 3, 4, 5, 7), (2, 3, 4)):
+        for p in range(2 * n - 1, 2 * n + 4):
+            ranks, others = range(n, p + 1), q**n - 1
+            for k in ranks:
+                yield q, p, n, {n - 1: 1, k: others}
+            slots = others + len(ranks) - 1
+            for _ in range(per):
+                bounds = [-1, *sorted(rng.sample(range(slots), len(ranks) - 1)), slots]
+                counts = [b - a - 1 for a, b in zip(bounds, bounds[1:])]
+                yield q, p, n, {n - 1: 1, **dict(zip(ranks, counts))}
+
+
+def test_trace_finds_every_nprime_floor_shape_contradictory():
+    # a space whose nonzero members all have rank above 2n - 2 has no coset
+    # of the shape census_report's nprime_floor verdict needs
+    grid = list(_nprime_floor_shapes(20, 0))
+    assert len(grid) == 75 * 20 + 375  # 75 (q, p, n) triples
+    for q, p, n, profile in grid:
+        assert sum(profile.values()) == q**n
+        rep = proof_trace(q, p, n, profile)
+        assert rep.regime_met and rep.contradiction, (q, p, n, profile)
+
+
+def test_coset_walks_stop_at_the_search_guard(monkeypatch):
+    # span{I, E12} over GF(3) and g = E11: a coset of 9 members
+    s = OperatorSpace(GF3, 2, 2, [Matrix.identity(GF3, 2),
+                                  Matrix(GF3, 2, 2, (0, 1, 0, 0))])
+    t = coset_make(s, Matrix(GF3, 2, 2, (1, 0, 0, 0)))
+    h0 = t.member((0, 0))
+    want = census_report(t).to_dict()
+    monkeypatch.setenv("REFLEXFF_GUARD", "8")
+    walks = []
+    monkeypatch.setattr(census, "rank_walk", lambda *a: walks.append(a))
+    for run in (census_report, coset_rank_profile, incidence_count,
+                lambda c: nprime_count(c, h0)):
+        with pytest.raises(GuardExceeded, match="9 members"):
+            run(t)
+    assert walks == []
+    monkeypatch.undo()
+    monkeypatch.setenv("REFLEXFF_GUARD", "9")
+    assert census_report(t).to_dict() == want
+
+
 def test_trace_outside_regime_claims_nothing():
     # the worked real coset has q=2, n=2, p=2 < 2n-1
     rep = proof_trace(2, 2, 2, {1: 3, 2: 1})

@@ -109,6 +109,23 @@ def test_census_g_outside_closure_exit_4(tmp_path):
     assert code == 4 and "g not in R(S)" in err
 
 
+def test_census_guard_exit_5(tmp_path, monkeypatch):
+    # a 9-member GF(3) coset against a guard of 8
+    spath = tmp_path / "s.json"
+    spath.write_text(dumps({
+        "field": {"p": 3, "k": 1}, "dim_u": 2, "dim_v": 2,
+        "basis": [{"rows": 2, "cols": 2, "entries": [[1, 0], [0, 1]]},
+                  {"rows": 2, "cols": 2, "entries": [[0, 1], [0, 0]]}]}))
+    gpath = tmp_path / "e11.json"
+    gpath.write_text(dumps({"rows": 2, "cols": 2, "entries": [[1, 0], [0, 0]]}))
+    monkeypatch.setenv("REFLEXFF_GUARD", "8")
+    code, out, err = run_cli(["census", str(spath), str(gpath)])
+    assert code == 5 and out == "" and "guard" in err
+    monkeypatch.setenv("REFLEXFF_GUARD", "9")
+    code, out, _ = run_cli(["census", str(spath), str(gpath)])
+    assert code == 0 and json.loads(out)["rank_profile"] == {"1": 6, "2": 3}
+
+
 def test_trace_contradictions():
     code, out, _ = run_cli(["trace", "--q", "2", "--p", "3", "--n", "2",
                             "--profile", "2:4"])

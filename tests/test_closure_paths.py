@@ -181,12 +181,17 @@ def test_memo_stays_within_its_bound_on_the_gf3_slice():
     f = field_from_order(3)
     report = exhaustive_verify(SearchParams(field=f, dim_u=3, dim_v=2, n=2))
     assert report.spaces_examined == 11011
-    points, _, values, known = opspace._closure_memos[(f, 3, 2, 2)]
+    points, _, values, known = opspace._closure_memos[(f, 3, 2)]
     assert len(points) == 13
     assert len(values) <= 3**3
-    assert all(len(seen) <= 3**4 for seen in known)
+    # each point's condition memo counts the values of its image tuples
+    # and condition rows against its share of the bound
+    share = opspace._MEMO_LIMIT // len(points)
+    for seen in known:
+        held = sum(len(images) + len(cond) for images, (cond, _) in seen.items())
+        assert held + seen.room == share
     stored = (sum(len(vals) for vals in values.values())
-              + sum(len(cond) for seen in known for cond, _ in seen.values()))
+              + sum(share - seen.room for seen in known))
     assert 0 < stored <= opspace._MEMO_LIMIT
 
 
@@ -207,7 +212,57 @@ def test_memo_keys_separate_fields(monkeypatch):
     for space in cases:
         assert system_closure(space) == reference_closure_basis(space)
     assert set(opspace._closure_memos) == {
-        (gf8_a, 2, 2, 1), (gf8_b, 2, 2, 1), (gf3, 3, 2, 2), (gf3, 2, 3, 2)}
+        (gf8_a, 2, 2), (gf8_b, 2, 2), (gf3, 3, 2), (gf3, 2, 3)}
+
+
+def test_full_condition_memos_only_serve_lookups(monkeypatch):
+    monkeypatch.setattr(opspace, "_closure_memos", {})
+    # GF(3) 3x2: 13 points whose 27 row values (351) still fit; each
+    # point's condition memo gets 400 // 13 = 30 values: a few n = 2
+    # entries of 4 image values plus 0, 6 or 12 condition values
+    monkeypatch.setattr(opspace, "_MEMO_LIMIT", 400)
+    f = field_from_order(3)
+    rng = random.Random(11)
+    spaces = [_random_space(f, 3, 2, 2, rng) for _ in range(120)]
+    for space in spaces[:60]:
+        assert system_closure(space) == reference_closure_basis(space)
+    known = opspace._closure_memos[(f, 3, 2)][3]
+    assert all(seen.room < 4 for seen in known)  # no n = 2 entry fits
+    full = [dict(seen) for seen in known]
+    for space in spaces[60:]:
+        want = reference_closure_basis(space)
+        assert system_closure(space) == want
+        assert space.reflexive_closure().canonical_basis() == want
+    assert [dict(seen) for seen in known] == full
+    assert {s.reflexive_closure().n > s.n for s in spaces} == {False, True}
+
+
+@pytest.mark.parametrize("q,dim_u,dim_v,n", [(4, 3, 2, 2), (3, 3, 2, 3), (2, 3, 3, 3)])
+def test_regime_shapes_get_a_memo(monkeypatch, q, dim_u, dim_v, n):
+    # shapes of the regime |K| <= n + 2 that the row-value rule admits
+    monkeypatch.setattr(opspace, "_closure_memos", {})
+    f = field_from_order(q)
+    rng = random.Random(12 * q + n)
+    for _ in range(30):
+        space = _random_space(f, dim_u, dim_v, n, rng)
+        assert system_closure(space) == reference_closure_basis(space)
+    assert set(opspace._closure_memos) == {(f, dim_u, dim_v)}
+    assert any(opspace._closure_memos[(f, dim_u, dim_v)][3])
+
+
+def test_closure_memo_keys_hold_no_n(monkeypatch):
+    # one GF(2) 3x2 memo serves n = 1, 2, 3: the image tuple's length
+    # separates them
+    monkeypatch.setattr(opspace, "_closure_memos", {})
+    f = field_from_order(2)
+    rng = random.Random(13)
+    for _ in range(15):
+        for n in (1, 2, 3):
+            space = _random_space(f, 3, 2, n, rng)
+            assert system_closure(space) == reference_closure_basis(space)
+    assert set(opspace._closure_memos) == {(f, 3, 2)}
+    known = opspace._closure_memos[(f, 3, 2)][3]
+    assert {len(images) for seen in known for images in seen} == {2, 4, 6}
 
 
 def test_rank_memo_keys_separate_fields(monkeypatch):
