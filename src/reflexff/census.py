@@ -181,14 +181,9 @@ class CensusReport:
 
     def to_dict(self) -> dict:
         return {
-            "q": self.q,
-            "p": self.p,
-            "n": self.n,
+            **vars(self),
             "incidence_count": str(self.incidence_count),
             "rank_profile": {str(k): v for k, v in sorted(self.rank_profile.items())},
-            "r": self.r,
-            "m": self.m,
-            "min_rank_multiplicity": self.min_rank_multiplicity,
             "h0_coeffs": list(self.h0_coeffs),
             "nprime_lower": None if self.nprime_lower is None else str(self.nprime_lower),
             "nprime_count": str(self.nprime_count),
@@ -251,15 +246,10 @@ class TraceReport:
 
     def to_dict(self) -> dict:
         return {
-            "q": self.q,
-            "p": self.p,
-            "n": self.n,
+            **vars(self),
             "profile": {str(k): v for k, v in sorted(self.profile.items())},
             "incidence_exact": str(self.incidence_exact),
-            "regime_met": self.regime_met,
             "checks": [c.to_dict() for c in self.checks],
-            "contradiction": self.contradiction,
-            "contradiction_via": self.contradiction_via,
         }
 
 

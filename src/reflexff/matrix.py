@@ -14,6 +14,14 @@ from .errors import DependentBasisError
 from .field import FieldSpec
 
 
+def _check_entries(field: FieldSpec, entries):
+    """ValueError unless every entry is an int encoding of a GF(q) element."""
+    q = field.q
+    for e in entries:
+        if not isinstance(e, int) or e < 0 or e >= q:
+            raise ValueError(f"entry {e!r} outside [0, {q})")
+
+
 class Matrix:
     """A rows x cols matrix over a FieldSpec, entries stored row-major."""
 
@@ -27,10 +35,7 @@ class Matrix:
             raise ValueError(
                 f"expected {rows * cols} entries for a {rows}x{cols} matrix, "
                 f"got {len(entries)}")
-        q = field.q
-        for e in entries:
-            if not isinstance(e, int) or e < 0 or e >= q:
-                raise ValueError(f"entry {e!r} outside [0, {q})")
+        _check_entries(field, entries)
         self.field = field
         self.rows = rows
         self.cols = cols
@@ -140,6 +145,7 @@ class Matrix:
         if len(x) != self.cols:
             raise ValueError("vector length disagrees with column count")
         f = self.field
+        _check_entries(f, x)
         ent = self.entries
         c = self.cols
         out = []
@@ -228,10 +234,7 @@ def solve(m: Matrix, b) -> tuple | None:
     """A particular solution of m @ x = b (free variables 0), or None."""
     if len(b) != m.rows:
         raise ValueError("right-hand side length disagrees with row count")
-    q = m.field.q
-    for e in b:
-        if not isinstance(e, int) or e < 0 or e >= q:
-            raise ValueError(f"entry {e!r} outside [0, {q})")
+    _check_entries(m.field, b)
     cols = m.cols
     aug_cols = cols + 1
     flat = []

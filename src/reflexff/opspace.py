@@ -457,16 +457,9 @@ class AnalysisReport:
 
     def to_dict(self) -> dict:
         return {
-            "q": self.q,
-            "p": self.p,
-            "dim_v": self.dim_v,
-            "n": self.n,
-            "reflexive": self.reflexive,
-            "closure_dim": self.closure_dim,
-            "mrk": self.mrk,
+            **vars(self),
             "mrk_witness": list(self.mrk_witness) if self.mrk_witness is not None else None,
             "rank_distribution": {str(r): c for r, c in sorted(self.rank_distribution.items())},
-            "lld": self.lld,
         }
 
 

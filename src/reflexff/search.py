@@ -22,6 +22,7 @@ as observational data only.
 
 from __future__ import annotations
 
+import functools
 import multiprocessing
 import os
 import random
@@ -130,7 +131,10 @@ class SearchParams:
 
 def _ambient(params: SearchParams) -> int:
     """dim_u * dim_v of a well-formed search, in either mode; a malformed
-    shape, n, job count or guard raises ValueError before any scan."""
+    mode, shape, n, job count or guard raises ValueError before any scan."""
+    if params.mode not in ("exhaustive", "random"):
+        raise ValueError(
+            f"mode must be 'exhaustive' or 'random', got {params.mode!r}")
     if params.dim_u < 1 or params.dim_v < 1:
         raise ValueError("dim_u and dim_v must be >= 1")
     ambient = params.dim_u * params.dim_v
@@ -166,34 +170,17 @@ class SearchReport:
     extremal: dict | None = None
 
     def to_dict(self) -> dict:
+        ext = self.extremal
         return {
-            "q": self.q,
-            "p": self.p,
-            "dim_v": self.dim_v,
-            "n": self.n,
-            "mode": self.mode,
+            **vars(self),
             "population": None if self.population is None else str(self.population),
-            "samples": self.samples,
-            "seed": self.seed,
-            "rng": self.rng,
             "guard": str(self.guard),
-            "spaces_examined": self.spaces_examined,
-            "reflexive_count": self.reflexive_count,
-            "nonreflexive_count": self.nonreflexive_count,
             "mrk_histogram": {str(k): v for k, v in sorted(self.mrk_histogram.items())},
-            "max_mrk": self.max_mrk,
             "max_mrk_witness": _wit(self.max_mrk_witness),
-            "violations": [
-                {"basis": _wit(v["basis"]), "mrk": v["mrk"], "bound": v["bound"]}
-                for v in self.violations
-            ],
-            "bound_2n_minus_3_status": self.bound_2n_minus_3_status,
+            "violations": [{**v, "basis": _wit(v["basis"])} for v in self.violations],
             "bound_2n_minus_3_witness": _wit(self.bound_2n_minus_3_witness),
-            "extremal": None if self.extremal is None else {
-                "max_mrk": self.extremal["max_mrk"],
-                "witnesses": [_wit(w) for w in self.extremal["witnesses"]],
-                "equals": self.extremal["equals"],
-            },
+            "extremal": None if ext is None else {
+                **ext, "witnesses": [_wit(w) for w in ext["witnesses"]]},
         }
 
 
@@ -247,10 +234,11 @@ def _mrk(field, dim_u: int, dim_v: int, rows) -> int:
     return best
 
 
-def _scan_one(acc: _Acc, field, dim_u: int, dim_v: int, rows: tuple,
-              collect_extremal: bool, deep_checks: bool, check_2n3: bool):
-    """Classify span(rows); ``rows`` is its canonical RREF basis as flat
-    row-major entry tuples."""
+def _scan_one(acc: _Acc, params: SearchParams, rows: tuple,
+              collect_extremal: bool):
+    """Classify span(rows), a space of the slice ``params``; ``rows`` is its
+    canonical RREF basis as flat row-major entry tuples."""
+    field, dim_u, dim_v = params.field, params.dim_u, params.dim_v
     n = len(rows)
     acc.examined += 1
     _, piv = closure_system(field, dim_u, dim_v, rows)
@@ -265,7 +253,7 @@ def _scan_one(acc: _Acc, field, dim_u: int, dim_v: int, rows: tuple,
                               ("n^2", n * n)):
         if mrk > bound:
             acc.violations.append({"basis": rows, "mrk": mrk, "bound": bound_name})
-    if check_2n3 and mrk > 2 * n - 3 and acc.bad_2n3 is None:
+    if field.q > n >= 3 and mrk > 2 * n - 3 and acc.bad_2n3 is None:
         acc.bad_2n3 = rows
     if acc.max_mrk is None or mrk > acc.max_mrk:
         acc.max_mrk = mrk
@@ -273,7 +261,7 @@ def _scan_one(acc: _Acc, field, dim_u: int, dim_v: int, rows: tuple,
         acc.extremal = [rows] if collect_extremal else []
     elif mrk == acc.max_mrk and collect_extremal:
         acc.extremal.append(rows)
-    if deep_checks:
+    if params.deep_checks:
         space = OperatorSpace(field, dim_u, dim_v,
                               [Matrix(field, dim_v, dim_u, row) for row in rows])
         witness = next(b for b in space.reflexive_closure().basis
@@ -283,43 +271,33 @@ def _scan_one(acc: _Acc, field, dim_u: int, dim_v: int, rows: tuple,
                 {"basis": rows, "mrk": mrk, "bound": "hyperplane-lld"})
 
 
-def _scan_pattern(args):
-    (p, k, modulus, dim_u, dim_v, n, pivots, collect_extremal,
-     deep_checks, check_2n3) = args
-    f = field_make(p, k, modulus)
-    ambient = dim_u * dim_v
+def _scan_pattern(params: SearchParams, collect_extremal: bool, pivots) -> _Acc:
     acc = _Acc()
-    for rows in _pattern_subspaces(f.q, ambient, pivots):
-        _scan_one(acc, f, dim_u, dim_v, rows, collect_extremal, deep_checks,
-                  check_2n3)
+    for rows in _pattern_subspaces(params.field.q, params.dim_u * params.dim_v,
+                                   pivots):
+        _scan_one(acc, params, rows, collect_extremal)
     return acc
 
 
 def _run_exhaustive(params: SearchParams, collect_extremal: bool) -> _Acc:
-    f = params.field
     ambient = _ambient(params)
     guard = params.guard_value()
-    total = gaussian_binomial(ambient, params.n, f.q)
+    total = gaussian_binomial(ambient, params.n, params.field.q)
     if total > guard:
         raise GuardExceeded(
             f"enumeration of {total} subspaces exceeds the guard {guard}")
-    check_2n3 = f.q > params.n >= 3
     # n = 0 has the one pattern (), whose one basis () is the zero space
     patterns = list(combinations(range(ambient), params.n))
-    job_args = [
-        (f.p, f.k, f.modulus, params.dim_u, params.dim_v, params.n, piv,
-         collect_extremal, params.deep_checks, check_2n3)
-        for piv in patterns
-    ]
-    acc = _Acc()
+    scan = functools.partial(_scan_pattern, params, collect_extremal)
     workers = min(params.jobs, len(patterns), os.cpu_count() or 1)
     if workers <= 1:
-        for args in job_args:
-            acc.merge(_scan_pattern(args))
+        parts = map(scan, patterns)
     else:
         with multiprocessing.Pool(workers) as pool:
-            for part in pool.map(_scan_pattern, job_args):
-                acc.merge(part)
+            parts = pool.map(scan, patterns)
+    acc = _Acc()
+    for part in parts:
+        acc.merge(part)
     return acc
 
 
@@ -329,7 +307,6 @@ def _run_random(params: SearchParams, collect_extremal: bool) -> _Acc:
         raise ValueError("random mode needs samples >= 1")
     f = params.field
     q = f.q
-    check_2n3 = q > params.n >= 3
     rng = random.Random(params.seed)
     acc = _Acc()
     for _ in range(params.samples):
@@ -339,8 +316,7 @@ def _run_random(params: SearchParams, collect_extremal: bool) -> _Acc:
             rref, _ = rref_rows(f, rows, width=ambient)
             if len(rref) == params.n:
                 break
-        _scan_one(acc, f, params.dim_u, params.dim_v, rref, collect_extremal,
-                  params.deep_checks, check_2n3)
+        _scan_one(acc, params, rref, collect_extremal)
     return acc
 
 

@@ -320,6 +320,64 @@ def test_pretty_flag(space_file):
         json.loads(out)
 
 
+def test_analyze_pretty(space_file):
+    code, out, _ = run_cli(["analyze", space_file, "--pretty"])
+    assert code == 0
+    assert out == "\n".join([
+        "operator space analysis",
+        "-----------------------",
+        "                       q: 2",
+        "                       p: 2",
+        "                   dim_v: 2",
+        "                       n: 2",
+        "               reflexive: False",
+        "             closure_dim: 4",
+        "                     mrk: 2",
+        "             mrk_witness: [0, 1]",
+        "       rank_distribution: {'2': 3}",
+        "                     lld: False",
+    ]) + "\n"
+
+
+def _search_lines(q, n, mode, population, samples, seed, rng, examined,
+                  reflexive, hist, max_mrk, status):
+    return [
+        "search report",
+        "-------------",
+        f"                       q: {q}",
+        "                       p: 2",
+        "                   dim_v: 2",
+        f"                       n: {n}",
+        f"                    mode: {mode}",
+        f"              population: {population}",
+        f"                 samples: {samples}",
+        f"                    seed: {seed}",
+        f"                     rng: {rng}",
+        "                   guard: 10000000",
+        f"         spaces_examined: {examined}",
+        f"         reflexive_count: {reflexive}",
+        f"      nonreflexive_count: {examined - reflexive}",
+        f"           mrk_histogram: {hist}",
+        f"                 max_mrk: {max_mrk}",
+        f" bound_2n_minus_3_status: {status}",
+    ]
+
+
+@pytest.mark.parametrize("args, lines", [
+    (["--q", "3", "--n", "2", "--extremal"],
+     _search_lines(3, 2, "exhaustive", 130, None, None, None, 130, 80,
+                   {"1": 32, "2": 18}, 2, "not-applicable")),
+    (["--q", "4", "--n", "3", "--mode", "random", "--samples", "8", "--seed", "5"],
+     _search_lines(4, 3, "random", None, 8, 5, "python-mt19937", 8, 1,
+                   {"1": 7}, 1, "holds")),
+])
+def test_search_pretty(args, lines):
+    code, out, _ = run_cli(["search", "--dim-u", "2", "--dim-v", "2", *args,
+                            "--pretty"])
+    assert code == 0
+    assert out == "\n".join(lines) + "\n"
+
+
 def test_census_pretty(space_file, e11_file):
     code, out, _ = run_cli(["census", space_file, e11_file, "--pretty"])
     assert code == 0

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -196,6 +198,20 @@ def test_entry_validation():
         Matrix(gf2, 1, 2, (0, 2))
     with pytest.raises(ValueError):
         Matrix(gf2, 2, 2, (0, 1, 1))
+
+
+@pytest.mark.parametrize("bad", [-1, 3, 1.5])
+def test_vector_entries_are_checked_like_matrix_entries(bad):
+    gf3 = FIELDS[3]
+    m = Matrix(gf3, 2, 2, (1, 2, 0, 1))
+    assert m.apply((1, 2)) == (2, 2)
+    message = re.escape(f"entry {bad!r} outside [0, 3)")
+    with pytest.raises(ValueError, match=message):
+        m.apply((1, bad))
+    with pytest.raises(ValueError, match=message):
+        solve(m, (1, bad))
+    with pytest.raises(ValueError, match=message):
+        Matrix(gf3, 1, 2, (1, bad))
 
 
 def test_vstack_and_transpose():

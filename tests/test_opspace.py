@@ -55,6 +55,14 @@ def test_eval_space_examples():
     assert s2.eval_space((1, 1)) == ((1, 0),)
 
 
+@pytest.mark.parametrize("bad", [-1, 3, 1.5])
+def test_eval_space_rejects_entries_outside_the_field(bad):
+    s = opspace_make(GF3, 2, 2, [Matrix.identity(GF3, 2)])
+    assert s.eval_space((1, 2)) == ((1, 2),)
+    with pytest.raises(ValueError, match="outside"):
+        s.eval_space((1, bad))
+
+
 def test_eval_space_scaling_invariance():
     f = field_make(5)
     rng = random.Random(3)

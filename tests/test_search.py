@@ -148,6 +148,14 @@ def test_random_rejects_jobs_below_one(jobs):
         random_verify(params)
 
 
+@pytest.mark.parametrize("mode", ["Random", "", "exhaustive "])
+def test_unknown_mode_is_rejected(mode):
+    params = SearchParams(field=GF2, dim_u=2, dim_v=2, n=1, mode=mode, samples=3)
+    for run in (find_extremal, exhaustive_verify, random_verify):
+        with pytest.raises(ValueError, match="mode"):
+            run(params)
+
+
 def test_benchmark_slice_gf2_counts_and_jobs_invariance():
     # the exhaustive-gf2 slice of the benchmark: GF(2), dim_v=2, dim_u=3, n=3
     base = dict(field=GF2, dim_u=3, dim_v=2, n=3)

@@ -1,16 +1,24 @@
 import json
+from dataclasses import fields
 
 import pytest
 
 from reflexff import (
     Matrix,
+    SearchParams,
+    analyze,
+    census_report,
     construct_regular_rep,
+    coset_make,
     dumps,
+    exhaustive_verify,
     field_from_json,
     field_make,
     field_to_json,
+    find_extremal,
     matrix_from_json,
     matrix_to_json,
+    proof_trace,
     space_from_json,
     space_to_json,
 )
@@ -103,3 +111,17 @@ def test_space_dims_must_be_json_integers(key, value):
 def test_field_values_must_be_json_integers(fragment, what):
     with pytest.raises(ValueError, match=f"{what} must be a JSON integer"):
         field_from_json(fragment)
+
+
+def test_report_keys_are_the_dataclass_fields_in_order():
+    gf2 = field_make(2)
+    space = construct_regular_rep(gf2, 2)
+    census = census_report(coset_make(space, Matrix(gf2, 2, 2, (1, 0, 0, 0))))
+    trace = proof_trace(2, 3, 2, {1: 1, 2: 3})
+    params = SearchParams(field=gf2, dim_u=2, dim_v=2, n=2)
+    extremal = find_extremal(params)
+    assert extremal.extremal is not None
+    reports = [analyze(space), exhaustive_verify(params), extremal,
+               census, *census.verdicts, trace, *trace.checks]
+    for report in reports:
+        assert list(report.to_dict()) == [f.name for f in fields(report)]
