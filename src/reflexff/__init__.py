@@ -31,14 +31,11 @@ from .matrix import (
     Matrix,
     iter_projective,
     iter_vectors,
-    kernel_intersection_dim,
     mat_kernel,
     mat_rank,
-    mat_rref,
     quotient_setup,
     rref_rows,
     solve,
-    solve_membership,
     vstack,
 )
 from .opspace import (
@@ -70,34 +67,3 @@ from .serialize import (
     space_to_json,
 )
 
-
-def eval_space(space, x):
-    """Canonical basis of S(x) = {f(x) : f in S}."""
-    return space.eval_space(x)
-
-
-def reflexive_closure(space):
-    """R(S) = {g : g(x) in S(x) for all x}, with an RREF-canonical basis."""
-    return space.reflexive_closure()
-
-
-def is_reflexive(space):
-    return space.is_reflexive()
-
-
-def mrk(space):
-    """(minimal rank over the nonzero members, lexicographically first witness)."""
-    return space.mrk()
-
-
-def rank_distribution(space):
-    return space.rank_distribution()
-
-
-def is_lld(space):
-    return space.is_lld()
-
-
-def reduced_space(space):
-    """(space induced on the quotient by the common kernel, coordinate map Q)."""
-    return space.reduced()

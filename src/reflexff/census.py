@@ -63,10 +63,6 @@ class Coset:
     def member(self, coeffs) -> Matrix:
         return self.g + self.space.element(coeffs)
 
-    def coords_of(self, h: Matrix) -> tuple | None:
-        """Coefficients such that h = g + S[coeffs], or None when h not in T."""
-        return self.space.coords_of(h - self.g)
-
 
 def coset_make(space: OperatorSpace, g: Matrix) -> Coset:
     return Coset(space, g)
@@ -122,11 +118,11 @@ def coset_rank_profile(coset: Coset):
 def nprime_count(coset: Coset, h0: Matrix) -> int:
     """Pairs (x, h) with x a nonzero kernel vector of h0, h in T \\ {h0},
     and h(x) = 0, counted by one rank per member h (see ``_nprime``)."""
-    c0 = coset.coords_of(h0)
-    if c0 is None:
+    if not coset.space.contains(h0 - coset.g):
         raise ValueError("h0 is not a member of the coset")
-    return _nprime(coset, h0.entries,
-                   (h for coeffs, h, _ in _walk(coset) if coeffs != c0))
+    # T's members are pairwise distinct, so h0 is skipped by its entries
+    h0 = list(h0.entries)
+    return _nprime(coset, h0, (h for _, h, _ in _walk(coset) if h != h0))
 
 
 def _nprime(coset: Coset, h0, others) -> int:

@@ -2,9 +2,10 @@
 
 Exit codes are a stable contract:
   0 success, 2 malformed input (including a malformed REFLEXFF_GUARD, a search
-  with --dim-u, --dim-v, --jobs or --guard below 1, and a trace profile that
-  repeats a rank), 3 dependent basis, 4 census membership failure, 5 guard
-  exceeded by a search slice or a census coset, 10 rank-bound violation.
+  with --dim-u, --dim-v, --jobs or --guard below 1, a trace profile that
+  repeats a rank, a field order above 2^16 and a JSON file nested too deep),
+  3 dependent basis, 4 census membership failure, 5 guard exceeded by a
+  search slice or a census coset, 10 rank-bound violation.
 Reports go to stdout as pure JSON unless --output or --pretty is given;
 diagnostics go to stderr.
 """

@@ -130,13 +130,17 @@ class FieldSpec:
     )
 
     def __init__(self, p: int, k: int, modulus):
-        if not isinstance(p, int) or not is_prime(p):
+        if not isinstance(p, int) or p < 2:
             raise ValueError(f"characteristic must be prime, got {p!r}")
         if not isinstance(k, int) or k < 1:
             raise ValueError(f"extension degree must be >= 1, got {k!r}")
+        # bounded before a power or is_prime runs: p >= 2 puts k > 16 past 2^16
+        if k > 16 or p**k > MAX_ORDER:
+            order = p if k == 1 else f"{p}^{k}"
+            raise ValueError(f"field order {order} exceeds the supported 2^16")
+        if not is_prime(p):
+            raise ValueError(f"characteristic must be prime, got {p!r}")
         q = p**k
-        if q > MAX_ORDER:
-            raise ValueError(f"field order {q} exceeds the supported 2^16")
         self.p = p
         self.k = k
         self.q = q
@@ -288,9 +292,6 @@ class FieldSpec:
     def neg(self, a: int) -> int:
         return self.neg_t[a]
 
-    def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg_t[b])
-
     def mul(self, a: int, b: int) -> int:
         if self.mul_t is not None:
             return self.mul_t[a * self.q + b]
@@ -304,16 +305,6 @@ class FieldSpec:
         if a == 0:
             raise ZeroDivisionError("0 has no multiplicative inverse")
         return self.inv_t[a]
-
-    def elements(self) -> range:
-        return range(self.q)
-
-    def tables(self):
-        """(add, mul, neg, inv) flat lists in ``kernels._row_reduce_tables``'s
-        argument order, or None when q > 256; only tests call it."""
-        if self.add_t is None:
-            return None
-        return self.add_t, self.mul_t, self.neg_t, self.inv_t
 
     # -- value semantics --
 
@@ -349,6 +340,8 @@ def field_from_order(q: int) -> FieldSpec:
     """GF(q) with the default modulus; q must be a prime power."""
     if not isinstance(q, int) or q < 2:
         raise ValueError(f"field order must be an integer >= 2, got {q!r}")
+    if q > MAX_ORDER:
+        raise ValueError(f"field order {q} exceeds the supported 2^16")
     for p in range(2, q + 1):
         if q % p == 0:
             k = 0

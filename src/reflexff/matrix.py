@@ -67,16 +67,6 @@ class Matrix:
         c = self.cols
         return self.entries[i * c:(i + 1) * c]
 
-    def row_list(self):
-        return [self.row(i) for i in range(self.rows)]
-
-    def __getitem__(self, rc):
-        i, j = rc
-        return self.entries[i * self.cols + j]
-
-    def is_zero(self) -> bool:
-        return not any(self.entries)
-
     def __eq__(self, other):
         return (isinstance(other, Matrix)
                 and self.field == other.field
@@ -177,12 +167,6 @@ def vstack(mats) -> Matrix:
     return Matrix(f, sum(m.rows for m in mats), c, flat)
 
 
-def mat_rref(m: Matrix):
-    """(RREF matrix, pivot column tuple)."""
-    ent, piv = kernels.row_reduce(m.entries, m.rows, m.cols, m.field)
-    return Matrix(m.field, m.rows, m.cols, ent), piv
-
-
 def mat_rank(m: Matrix) -> int:
     _, piv = kernels.row_reduce(m.entries, m.rows, m.cols, m.field)
     return len(piv)
@@ -248,31 +232,6 @@ def solve(m: Matrix, b) -> tuple | None:
     for i, pc in enumerate(piv):
         x[pc] = ent[i * aug_cols + cols]
     return tuple(x)
-
-
-def solve_membership(field, basis, v):
-    """Whether v lies in span(basis); returns (bool, coefficients or None)."""
-    basis = [tuple(u) for u in basis]
-    v = tuple(v)
-    if any(len(u) != len(v) for u in basis):
-        raise ValueError("vector lengths disagree")
-    if not basis:
-        return (not any(v), () if not any(v) else None)
-    # columns are the basis vectors, so the solution is the coefficient vector
-    cols = len(basis)
-    flat = tuple(basis[j][i] for i in range(len(v)) for j in range(cols))
-    a = Matrix(field, len(v), cols, flat)
-    coeffs = solve(a, v)
-    if coeffs is None:
-        return False, None
-    return True, coeffs
-
-
-def kernel_intersection_dim(a: Matrix, b: Matrix) -> int:
-    """dim(Ker a  intersect  Ker b), via the vertically stacked matrix."""
-    if a.field != b.field or a.cols != b.cols:
-        raise ValueError("matrices must share field and column count")
-    return a.cols - mat_rank(vstack([a, b]))
 
 
 def quotient_setup(field, u0_basis, ambient_dim: int) -> Matrix:

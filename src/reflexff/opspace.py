@@ -30,7 +30,6 @@ from .matrix import (  # noqa: F401  (mat_rank: perfbench/tracer.py wraps it her
     quotient_setup,
     rref_rows,
     solve,
-    solve_membership,
     vstack,
 )
 
@@ -307,14 +306,6 @@ class OperatorSpace:
                     if v:
                         ent[i] = f.add(ent[i], f.mul(c, v))
         return Matrix(f, self.dim_v, self.dim_u, ent)
-
-    def coords_of(self, m: Matrix) -> tuple | None:
-        """Coefficients of m on the basis, or None when m is outside S."""
-        if m.field != self.field or m.rows != self.dim_v or m.cols != self.dim_u:
-            raise ValueError("matrix shape or field disagrees with the space")
-        ok, coeffs = solve_membership(
-            self.field, [b.entries for b in self.basis], m.entries)
-        return coeffs if ok else None
 
     def contains(self, m: Matrix) -> bool:
         """Whether m lies in S: it leaves the canonical basis at rank n."""

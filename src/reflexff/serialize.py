@@ -86,7 +86,10 @@ def dumps(obj) -> str:
 
 def load_json(path: str):
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deep") from None
 
 
 def load_space(path: str) -> OperatorSpace:

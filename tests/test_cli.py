@@ -268,6 +268,31 @@ def test_search_nonprimepower_q_exit_2():
     assert code == 2
 
 
+@pytest.mark.parametrize("argv, field", [
+    (["search", "--q", "1000000000000000003", "--dim-u", "2", "--dim-v", "2",
+      "--n", "1"], None),
+    (["analyze"], {"p": 1000000000000000003}),
+    (["analyze"], {"p": 3, "k": 100000000}),
+])
+def test_field_order_above_2_16_exit_2(tmp_path, argv, field):
+    if field is not None:
+        path = tmp_path / "space.json"
+        path.write_text(dumps({"field": field, "dim_u": 1, "dim_v": 1, "basis": []}))
+        argv = argv + [str(path)]
+    code, out, err = run_cli(argv)
+    assert code == 2 and out == ""
+    assert "exceeds the supported 2^16" in err and "Traceback" not in err
+
+
+def test_deeply_nested_file_exit_2(space_file, tmp_path):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100000)
+    for argv in (["analyze", str(deep)], ["census", space_file, str(deep)]):
+        code, out, err = run_cli(argv)
+        assert code == 2 and out == ""
+        assert "nested too deep" in err and "Traceback" not in err
+
+
 def test_construct_then_analyze_pipeline(tmp_path):
     out_path = str(tmp_path / "rep.json")
     code, _, _ = run_cli(["construct", "regular-rep", "--p", "2", "--n", "2",

@@ -48,8 +48,13 @@ def test_modulus_on_prime_field_rejected():
 
 
 def test_order_limit():
-    with pytest.raises(ValueError):
-        field_make(2, 17)
+    # the order is bounded before any primality test, power or factor loop,
+    # so a huge p, k or q is rejected at once
+    for p, k in [(2, 17), (257, 2), (1000000000000000003, 1), (3, 100000000)]:
+        with pytest.raises(ValueError, match=r"exceeds the supported 2\^16"):
+            field_make(p, k)
+    with pytest.raises(ValueError, match=r"exceeds the supported 2\^16"):
+        field_from_order(1000000000000000003)
 
 
 def test_basic_arithmetic_examples():
@@ -119,7 +124,7 @@ def test_field_axioms_sampled(p, k):
 
 def test_large_field_without_full_tables():
     f = field_make(2, 10)  # q = 1024 > table limit
-    assert f.tables() is None
+    assert f.add_t is None and f.mul_t is None
     assert f.mul(2, f.inv(2)) == 1
     rng = random.Random(5)
     for _ in range(2000):
