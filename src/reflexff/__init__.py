@@ -33,10 +33,7 @@ from .matrix import (
     iter_vectors,
     mat_kernel,
     mat_rank,
-    quotient_setup,
     rref_rows,
-    solve,
-    vstack,
 )
 from .opspace import (
     AnalysisReport,

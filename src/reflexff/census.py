@@ -31,8 +31,7 @@ from . import kernels
 from .errors import GuardExceeded, MembershipError
 # mat_kernel and mat_rank stay bound here: perfbench/tracer.py wraps them by name
 from .matrix import Matrix, iter_vectors, mat_kernel, mat_rank  # noqa: F401
-from .opspace import OperatorSpace, rank_walk, walk_profile
-from .search import default_guard
+from .opspace import OperatorSpace, default_guard, rank_walk, walk_profile
 
 BRUTE_GUARD = 1 << 24  # max q^(p+n) pairs for brute incidence counting
 

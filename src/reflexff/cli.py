@@ -5,7 +5,8 @@ Exit codes are a stable contract:
   with --dim-u, --dim-v, --jobs or --guard below 1, a trace profile that
   repeats a rank, a field order above 2^16 and a JSON file nested too deep),
   3 dependent basis, 4 census membership failure, 5 guard exceeded by a
-  search slice or a census coset, 10 rank-bound violation.
+  search slice, a census coset or the point or member walk of a single
+  space (analyze, closure, mrk), 10 rank-bound violation.
 Reports go to stdout as pure JSON unless --output or --pretty is given;
 diagnostics go to stderr.
 """

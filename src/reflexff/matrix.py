@@ -10,7 +10,6 @@ from __future__ import annotations
 from itertools import product
 
 from . import kernels
-from .errors import DependentBasisError
 from .field import FieldSpec
 
 
@@ -149,23 +148,6 @@ class Matrix:
             out.append(s)
         return tuple(out)
 
-    def transpose(self):
-        r, c = self.rows, self.cols
-        ent = self.entries
-        out = tuple(ent[i * c + j] for j in range(c) for i in range(r))
-        return Matrix(self.field, c, r, out)
-
-
-def vstack(mats) -> Matrix:
-    mats = list(mats)
-    if not mats:
-        raise ValueError("vstack needs at least one matrix")
-    f, c = mats[0].field, mats[0].cols
-    if any(m.field != f or m.cols != c for m in mats):
-        raise ValueError("vstack requires equal fields and column counts")
-    flat = tuple(e for m in mats for e in m.entries)
-    return Matrix(f, sum(m.rows for m in mats), c, flat)
-
 
 def mat_rank(m: Matrix) -> int:
     _, piv = kernels.row_reduce(m.entries, m.rows, m.cols, m.field)
@@ -212,46 +194,6 @@ def rref_rows(field, vectors, width=None):
     rank = len(piv)
     rows = tuple(tuple(ent[i * w:(i + 1) * w]) for i in range(rank))
     return rows, piv
-
-
-def solve(m: Matrix, b) -> tuple | None:
-    """A particular solution of m @ x = b (free variables 0), or None."""
-    if len(b) != m.rows:
-        raise ValueError("right-hand side length disagrees with row count")
-    _check_entries(m.field, b)
-    cols = m.cols
-    aug_cols = cols + 1
-    flat = []
-    for i in range(m.rows):
-        flat.extend(m.row(i))
-        flat.append(b[i])
-    ent, piv = kernels.row_reduce(flat, m.rows, aug_cols, m.field)
-    if cols in piv:
-        return None
-    x = [0] * cols
-    for i, pc in enumerate(piv):
-        x[pc] = ent[i * aug_cols + cols]
-    return tuple(x)
-
-
-def quotient_setup(field, u0_basis, ambient_dim: int) -> Matrix:
-    """Coordinate map of the quotient by span(u0_basis).
-
-    Returns a (ambient_dim - d) x ambient_dim matrix Q of full row rank
-    with Ker Q = span(u0_basis), where d = len(u0_basis).
-    """
-    u0_basis = [tuple(v) for v in u0_basis]
-    if any(len(v) != ambient_dim for v in u0_basis):
-        raise ValueError("basis vectors must have the ambient length")
-    if not u0_basis:
-        return Matrix.identity(field, ambient_dim)
-    b = Matrix.from_rows(field, u0_basis)
-    if mat_rank(b) != len(u0_basis):
-        raise DependentBasisError("subspace basis is linearly dependent")
-    kern = mat_kernel(b)
-    if not kern:
-        return Matrix(field, 0, ambient_dim, ())
-    return Matrix.from_rows(field, kern)
 
 
 def iter_vectors(q: int, dim: int):

@@ -17,21 +17,50 @@ scanned in lexicographic order and returned bases are RREF-canonical.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 from . import kernels
-from .errors import DependentBasisError, MembershipError
-from .matrix import (  # noqa: F401  (mat_rank: perfbench/tracer.py wraps it here)
+from .errors import DependentBasisError, GuardExceeded, MembershipError
+from .matrix import (  # noqa: F401  (mat_kernel, mat_rank: perfbench/tracer.py wraps them)
     Matrix,
     iter_projective,
     mat_kernel,
     mat_rank,
     null_basis,
-    quotient_setup,
     rref_rows,
-    solve,
-    vstack,
 )
+
+DEFAULT_GUARD = 10**7
+
+
+def default_guard() -> int:
+    """Guard on enumerations and walks; the REFLEXFF_GUARD variable overrides.
+
+    A value that is not a positive integer raises ValueError (malformed
+    input), not GuardExceeded.
+    """
+    raw = os.environ.get("REFLEXFF_GUARD", "")
+    if raw:
+        try:
+            value = int(raw)
+        except ValueError:
+            raise ValueError(f"REFLEXFF_GUARD={raw!r} is not an integer") from None
+        if value < 1:
+            raise ValueError("REFLEXFF_GUARD must be positive")
+        return value
+    return DEFAULT_GUARD
+
+
+def _guard_points(q, dim, what):
+    """GuardExceeded when a walk over the (q^dim - 1)/(q - 1) projective
+    points of GF(q)^dim would pass the guard; counted only up to it."""
+    guard, count, power = default_guard(), 0, 1
+    for _ in range(dim):
+        count, power = count + power, power * q
+        if count > guard:
+            raise GuardExceeded(f"{what} walk over ({q}^{dim} - 1)/({q} - 1) "
+                                f"points exceeds the guard {guard}")
 
 
 # Every per-shape memo takes entries until they hold this many values (those
@@ -335,6 +364,7 @@ class OperatorSpace:
         cached = self._cache.get("closure")
         if cached is not None:
             return cached
+        _guard_points(self.field.q, self.dim_u, "closure")
         f = self.field
         p, v = self.dim_u, self.dim_v
         width = p * v
@@ -359,6 +389,7 @@ class OperatorSpace:
             return cached
         if self.n == 0:
             raise ValueError("rank scan requires a nonzero space")
+        _guard_points(self.field.q, self.n, "rank scan")
         dist, best, (witness, _, _) = walk_profile(rank_walk(
             self.field, self.dim_u, self.dim_v, [m.entries for m in self.basis],
             iter_projective(self.field.q, self.n)))
@@ -379,6 +410,7 @@ class OperatorSpace:
     def is_lld(self) -> bool:
         """Whether every vector is annihilated by some nonzero member."""
         n = self.n
+        _guard_points(self.field.q, self.dim_u, "local dependence")
         for x in iter_projective(self.field.q, self.dim_u):
             if len(self.eval_space(x)) >= n:
                 return False
@@ -386,35 +418,24 @@ class OperatorSpace:
 
     # -- quotient by the common kernel --
 
-    def common_kernel(self) -> tuple:
-        """Basis of the intersection of the kernels of all members."""
-        if self.n == 0:
-            raise ValueError("common kernel of the zero space is everything")
-        return mat_kernel(vstack(list(self.basis)))
-
     def reduced(self):
-        """(space induced on the quotient by the common kernel, map Q).
+        """(space induced on the quotient by the common kernel K, map Q).
 
-        Each basis matrix f factors uniquely as fbar @ Q; ranks of all
-        members (same coefficients) are preserved.
+        Q is the RREF of all rows of all basis maps, so Ker Q = K, and such
+        a row's coordinates in Q's row space are its entries at Q's pivot
+        columns: each basis matrix f is fbar @ Q, fbar being f's columns
+        there.  Members keep their ranks (same coefficients).
         """
         if self.n == 0:
             raise ValueError("reduction requires a nonzero space")
-        f = self.field
-        u0 = self.common_kernel()
-        qmap = quotient_setup(f, u0, self.dim_u)
-        if not u0:
+        f, p, v = self.field, self.dim_u, self.dim_v
+        rows, piv = rref_rows(f, [m.row(i) for m in self.basis for i in range(v)])
+        qmap = Matrix(f, len(piv), p, [e for r in rows for e in r])
+        if len(piv) == p:
             return self, qmap
-        qt = qmap.transpose()
-        reduced_basis = []
-        for m in self.basis:
-            rows = []
-            for i in range(self.dim_v):
-                sol = solve(qt, m.row(i))
-                assert sol is not None, "member does not vanish on the common kernel"
-                rows.append(sol)
-            reduced_basis.append(Matrix.from_rows(f, rows))
-        return OperatorSpace(f, qmap.rows, self.dim_v, reduced_basis), qmap
+        return OperatorSpace(f, len(piv), v, [
+            Matrix(f, v, len(piv), [m.entries[i * p + c] for i in range(v) for c in piv])
+            for m in self.basis]), qmap
 
 
 def opspace_make(field, dim_u, dim_v, basis) -> OperatorSpace:

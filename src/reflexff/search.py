@@ -32,28 +32,10 @@ from itertools import combinations, product
 from .errors import GuardExceeded, TheoremViolation
 from .field import FieldSpec, field_make
 from .matrix import Matrix, iter_projective, rref_rows
-from .opspace import OperatorSpace, closure_system, hyperplane_lld_check, rank_walk
+from .opspace import (OperatorSpace, closure_system, default_guard,
+                      hyperplane_lld_check, rank_walk)
 
-DEFAULT_GUARD = 10**7
 RNG_NAME = "python-mt19937"
-
-
-def default_guard() -> int:
-    """Enumeration guard; the REFLEXFF_GUARD environment variable overrides.
-
-    A value that is not a positive integer raises ValueError (malformed
-    input), not GuardExceeded.
-    """
-    raw = os.environ.get("REFLEXFF_GUARD", "")
-    if raw:
-        try:
-            value = int(raw)
-        except ValueError:
-            raise ValueError(f"REFLEXFF_GUARD={raw!r} is not an integer") from None
-        if value < 1:
-            raise ValueError("REFLEXFF_GUARD must be positive")
-        return value
-    return DEFAULT_GUARD
 
 
 def gaussian_binomial(m: int, k: int, q: int) -> int:
@@ -129,12 +111,15 @@ class SearchParams:
         return self.guard
 
 
-def _ambient(params: SearchParams) -> int:
-    """dim_u * dim_v of a well-formed search, in either mode; a malformed
-    mode, shape, n, job count or guard raises ValueError before any scan."""
+def _ambient(params: SearchParams, mode: str) -> int:
+    """dim_u * dim_v of a well-formed search in ``mode``; a malformed mode,
+    the other mode, a malformed shape, n, job count or guard raises
+    ValueError before any scan."""
     if params.mode not in ("exhaustive", "random"):
         raise ValueError(
             f"mode must be 'exhaustive' or 'random', got {params.mode!r}")
+    if params.mode != mode:
+        raise ValueError(f"{params.mode} mode is run by {params.mode}_verify")
     if params.dim_u < 1 or params.dim_v < 1:
         raise ValueError("dim_u and dim_v must be >= 1")
     ambient = params.dim_u * params.dim_v
@@ -280,7 +265,7 @@ def _scan_pattern(params: SearchParams, collect_extremal: bool, pivots) -> _Acc:
 
 
 def _run_exhaustive(params: SearchParams, collect_extremal: bool) -> _Acc:
-    ambient = _ambient(params)
+    ambient = _ambient(params, "exhaustive")
     guard = params.guard_value()
     total = gaussian_binomial(ambient, params.n, params.field.q)
     if total > guard:
@@ -302,7 +287,7 @@ def _run_exhaustive(params: SearchParams, collect_extremal: bool) -> _Acc:
 
 
 def _run_random(params: SearchParams, collect_extremal: bool) -> _Acc:
-    ambient = _ambient(params)
+    ambient = _ambient(params, "random")
     if params.samples < 1:
         raise ValueError("random mode needs samples >= 1")
     f = params.field

@@ -21,7 +21,7 @@ from reflexff import (
     nprime_count,
     proof_trace,
 )
-from reflexff import census, kernels, matrix, opspace
+from reflexff import census, kernels, opspace
 from oracles import brute_closure_set, space_element_set
 
 GF2 = field_make(2)
@@ -439,13 +439,3 @@ def test_census_report_counts_nprime_past_the_brute_guard(monkeypatch):
             assert rep.to_dict()["nprime_count"] == str(rep.nprime_count)
             counts.append(rep.nprime_count)
     assert len(counts) >= 4 and any(counts)
-
-
-def test_coset_make_solves_nothing(monkeypatch):
-    calls = []
-    for module in (matrix, opspace):
-        solve = module.solve
-        monkeypatch.setattr(module, "solve",
-                            lambda *a, solve=solve: calls.append(a) or solve(*a))
-    worked_coset()
-    assert calls == []

@@ -126,6 +126,36 @@ def test_census_guard_exit_5(tmp_path, monkeypatch):
     assert code == 0 and json.loads(out)["rank_profile"] == {"1": 6, "2": 3}
 
 
+def test_single_space_walk_past_the_guard_exit_5(tmp_path):
+    # (2^26 - 1) points of GF(2)^26 for the closure and local dependence
+    # walks; the one-member rank scan stays inside the guard
+    path = tmp_path / "wide.json"
+    path.write_text(dumps({
+        "field": {"p": 2, "k": 1}, "dim_u": 26, "dim_v": 1,
+        "basis": [{"rows": 1, "cols": 26, "entries": [[1] + [0] * 25]}]}))
+    for command in ("analyze", "closure"):
+        code, out, err = run_cli([command, str(path)])
+        assert code == 5 and out == "" and "guard" in err
+    code, out, _ = run_cli(["mrk", str(path)])
+    assert code == 0 and json.loads(out)["mrk"] == 1
+
+
+@pytest.mark.parametrize("command", ["analyze", "closure", "mrk"])
+def test_single_space_guard_env_exit_5(tmp_path, monkeypatch, command):
+    # span{I, E12} over GF(3): 4 projective points and 4 projective members
+    path = tmp_path / "s.json"
+    path.write_text(dumps({
+        "field": {"p": 3, "k": 1}, "dim_u": 2, "dim_v": 2,
+        "basis": [{"rows": 2, "cols": 2, "entries": [[1, 0], [0, 1]]},
+                  {"rows": 2, "cols": 2, "entries": [[0, 1], [0, 0]]}]}))
+    monkeypatch.setenv("REFLEXFF_GUARD", "3")
+    code, out, err = run_cli([command, str(path)])
+    assert code == 5 and out == "" and "guard 3" in err
+    monkeypatch.setenv("REFLEXFF_GUARD", "4")
+    code, out, _ = run_cli([command, str(path)])
+    assert code == 0 and json.loads(out)
+
+
 def test_trace_contradictions():
     code, out, _ = run_cli(["trace", "--q", "2", "--p", "3", "--n", "2",
                             "--profile", "2:4"])

@@ -1,3 +1,4 @@
+import random
 import re
 
 import pytest
@@ -5,15 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reflexff import (
+    DependentBasisError,
     Matrix,
+    OperatorSpace,
     field_make,
     iter_projective,
     iter_vectors,
     mat_kernel,
     mat_rank,
-    quotient_setup,
-    solve,
-    vstack,
 )
 from reflexff import kernels
 from oracles import brute_kernel_count, brute_rank
@@ -51,28 +51,6 @@ def test_kernel_examples():
     m = Matrix(gf3, 2, 2, (1, 2, 2, 1))
     assert mat_kernel(m) == ((1, 1),)
     assert m.apply((1, 1)) == (0, 0)
-
-
-def test_solve_roundtrip():
-    gf3 = FIELDS[3]
-    m = Matrix(gf3, 3, 2, (1, 2, 0, 1, 2, 2))
-    x = (2, 1)
-    b = m.apply(x)
-    got = solve(m, b)
-    assert got is not None
-    assert m.apply(got) == b
-    assert solve(m, (1, 0, 0)) is None or m.apply(solve(m, (1, 0, 0))) == (1, 0, 0)
-
-
-def test_quotient_setup_examples():
-    gf2 = FIELDS[2]
-    assert quotient_setup(gf2, [], 3) == Matrix.identity(gf2, 3)
-    q = quotient_setup(gf2, [(0, 0, 1)], 3)
-    assert q == Matrix(gf2, 2, 3, (1, 0, 0, 0, 1, 0))
-    full = quotient_setup(gf2, [(1, 0), (0, 1)], 2)
-    assert full.rows == 0 and full.cols == 2
-    with pytest.raises(ValueError):
-        quotient_setup(gf2, [(1, 0), (1, 0)], 2)
 
 
 @given(mats())
@@ -123,17 +101,36 @@ def test_rref_idempotent_and_canonical(m):
 
 
 def test_quotient_kernel_is_exactly_the_subspace():
+    # reduced()'s Q vanishes exactly where every basis map does: on span(basis)
+    # for the map whose rows annihilate it, and on seeded random spaces
+    from oracles import span_set
+
+    rng = random.Random(97)
     for q in (2, 3):
         f = FIELDS[q]
         basis = [(1, 0, 1, 0), (0, 1, 1, 1 % q)]
-        qmap = quotient_setup(f, basis, 4)
-        assert mat_rank(qmap) == qmap.rows == 2
-        from oracles import span_set
-
+        annihilator = Matrix.from_rows(f, mat_kernel(Matrix.from_rows(f, basis)))
         inside = span_set(f, basis, 4)
-        zero = (0,) * qmap.rows
-        for x in iter_vectors(q, 4):
-            assert (qmap.apply(x) == zero) == (x in inside)
+        spaces = [(OperatorSpace(f, 4, 2, [annihilator]), inside)]
+        while len(spaces) < 12:
+            dim_v, n = rng.randrange(1, 3), rng.randrange(1, 3)
+            maps = [Matrix(f, dim_v, 4, [rng.randrange(q) for _ in range(4 * dim_v)])
+                    for _ in range(n)]
+            try:
+                s = OperatorSpace(f, 4, dim_v, maps)
+            except DependentBasisError:
+                continue
+            spaces.append((s, None))
+        for s, kernel in spaces:
+            _, qmap = s.reduced()
+            assert mat_rank(qmap) == qmap.rows
+            zero = (0,) * qmap.rows
+            for x in iter_vectors(q, 4):
+                killed = all(not any(m.apply(x)) for m in s.basis)
+                if kernel is not None:
+                    assert killed == (x in kernel)
+                assert (qmap.apply(x) == zero) == killed
+        assert spaces[0][0].reduced()[1].rows == 2
 
 
 def test_matrix_value_semantics():
@@ -168,19 +165,7 @@ def test_vector_entries_are_checked_like_matrix_entries(bad):
     with pytest.raises(ValueError, match=message):
         m.apply((1, bad))
     with pytest.raises(ValueError, match=message):
-        solve(m, (1, bad))
-    with pytest.raises(ValueError, match=message):
         Matrix(gf3, 1, 2, (1, bad))
-
-
-def test_vstack_and_transpose():
-    gf2 = FIELDS[2]
-    a = Matrix(gf2, 1, 2, (1, 0))
-    b = Matrix(gf2, 2, 2, (0, 1, 1, 1))
-    s = vstack([a, b])
-    assert s.rows == 3 and s.row(2) == (1, 1)
-    assert a.transpose().entries == (1, 0)
-    assert b.transpose().entries == (0, 1, 1, 1)
 
 
 def test_projective_representatives():

@@ -4,6 +4,7 @@ import pytest
 
 from reflexff import (
     DependentBasisError,
+    GuardExceeded,
     Matrix,
     MembershipError,
     OperatorSpace,
@@ -13,8 +14,8 @@ from reflexff import (
     iter_projective,
     mat_rank,
     opspace_make,
-    solve,
 )
+from reflexff import kernels
 from oracles import brute_closure_set, space_element_set
 
 GF2 = field_make(2)
@@ -190,11 +191,17 @@ def test_rank_distribution_examples():
     assert sum(s.rank_distribution().values()) == (2**s.n - 1) // (2 - 1)
 
 
-def test_lld_examples():
+def test_lld_examples(monkeypatch):
     assert span_e11_e12().is_lld()
     assert not span_im().is_lld()
     ident = Matrix.identity(GF2, 2)
     assert not opspace_make(GF2, 2, 2, [ident]).is_lld()
+    # GF(2)^2 has 3 projective points: the walk refuses a guard of 2
+    monkeypatch.setenv("REFLEXFF_GUARD", "2")
+    with pytest.raises(GuardExceeded, match="guard 2"):
+        span_im().is_lld()
+    monkeypatch.setenv("REFLEXFF_GUARD", "3")
+    assert not span_im().is_lld()
 
 
 def test_hyperplane_lld_examples():
@@ -265,12 +272,15 @@ def test_closure_commutes_with_reduction():
             continue
     for s in cases:
         reduced, qmap = s.reduced()
+        # g factors as gbar @ Q: gbar is g's columns at Q's pivot columns
+        piv = [next(j for j, e in enumerate(qmap.row(i)) if e)
+               for i in range(qmap.rows)]
         closure_then_reduce = []
-        qt = qmap.transpose()
         for g in s.reflexive_closure().basis:
-            rows = [solve(qt, g.row(i)) for i in range(g.rows)]
-            assert all(r is not None for r in rows)
-            closure_then_reduce.append(Matrix.from_rows(s.field, rows))
+            gbar = Matrix.from_rows(s.field, [[g.row(i)[c] for c in piv]
+                                              for i in range(g.rows)])
+            assert gbar @ qmap == g
+            closure_then_reduce.append(gbar)
         lhs = opspace_make(s.field, reduced.dim_u, s.dim_v, closure_then_reduce)
         assert lhs == reduced.reflexive_closure()
 
@@ -290,10 +300,15 @@ def test_reduction_preserves_reflexivity_status():
             s = opspace_make(f, dim_u, dim_v, basis)
         except DependentBasisError:
             continue
-        reduced, _ = s.reduced()
+        reduced, qmap = s.reduced()
         assert reduced.n == s.n
         assert reduced.mrk()[0] == s.mrk()[0]
         assert reduced.is_reflexive() == s.is_reflexive()
+        for fk, fbar in zip(s.basis, reduced.basis):
+            assert fbar @ qmap == fk
+        # Q is in RREF with full row rank
+        ent, piv = kernels.row_reduce(qmap.entries, qmap.rows, qmap.cols, f)
+        assert tuple(ent) == qmap.entries and len(piv) == qmap.rows
         done += 1
 
 

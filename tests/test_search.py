@@ -19,6 +19,7 @@ from reflexff import (
     random_verify,
     rref_rows,
 )
+from reflexff import search
 from oracles import span_set
 
 GF2 = field_make(2)
@@ -154,6 +155,17 @@ def test_unknown_mode_is_rejected(mode):
     for run in (find_extremal, exhaustive_verify, random_verify):
         with pytest.raises(ValueError, match="mode"):
             run(params)
+
+
+def test_verifiers_reject_the_other_mode(monkeypatch):
+    scanned = []
+    monkeypatch.setattr(search, "_scan_one", lambda *a: scanned.append(a))
+    base = dict(field=GF2, dim_u=2, dim_v=2, n=2, samples=3)
+    with pytest.raises(ValueError, match="random mode"):
+        exhaustive_verify(SearchParams(mode="random", **base))
+    with pytest.raises(ValueError, match="exhaustive mode"):
+        random_verify(SearchParams(mode="exhaustive", **base))
+    assert scanned == []
 
 
 def test_benchmark_slice_gf2_counts_and_jobs_invariance():
