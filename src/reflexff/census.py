@@ -270,8 +270,11 @@ def proof_trace(q: int, p: int, n: int, profile: dict) -> TraceReport:
         raise ValueError("profile must be non-empty")
     if any(k < 0 or k > p for k in profile):
         raise ValueError(f"profile ranks must lie in [0, {p}]")
-    if sum(profile.values()) != q**n:
-        raise ValueError(f"profile counts must sum to q^n = {q**n}")
+    # q^n has between n(b - 1) + 1 and nb bits, b the bit length of q: a
+    # total outside that range is refused without forming q^n
+    total, b = sum(profile.values()), q.bit_length()
+    if not n * (b - 1) < total.bit_length() <= n * b or total != q**n:
+        raise ValueError(f"profile counts must sum to q^n = {q}^{n}")
 
     n_exact = _incidence(q, p, profile)
     floor = q**n + q**p - 1

@@ -4,9 +4,10 @@ Exit codes are a stable contract:
   0 success, 2 malformed input (including a malformed REFLEXFF_GUARD, a search
   with --dim-u, --dim-v, --jobs or --guard below 1, a trace profile that
   repeats a rank, a field order above 2^16 and a JSON file nested too deep),
-  3 dependent basis, 4 census membership failure, 5 guard exceeded by a
-  search slice, a census coset or the point or member walk of a single
-  space (analyze, closure, mrk), 10 rank-bound violation.
+  3 dependent basis, 4 census membership failure, 5 guard exceeded by an
+  exhaustive search slice, a census coset, the point or member walk of each
+  random search sample, or that of a single space (analyze, closure, mrk),
+  10 rank-bound violation.
 Reports go to stdout as pure JSON unless --output or --pretty is given;
 diagnostics go to stderr.
 """
@@ -253,7 +254,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--guard", type=int, default=None,
-                   help="enumeration guard (default 10^7 or REFLEXFF_GUARD)")
+                   help="bound on the subspaces enumerated, or on each random "
+                        "sample's points and members (default 10^7 or "
+                        "REFLEXFF_GUARD)")
     p.add_argument("--extremal", action="store_true",
                    help="collect every maximum-mrk witness")
     p.add_argument("--deep-checks", action="store_true", dest="deep_checks",

@@ -52,10 +52,12 @@ def default_guard() -> int:
     return DEFAULT_GUARD
 
 
-def _guard_points(q, dim, what):
+def _guard_points(q, dim, what, guard=None):
     """GuardExceeded when a walk over the (q^dim - 1)/(q - 1) projective
-    points of GF(q)^dim would pass the guard; counted only up to it."""
-    guard, count, power = default_guard(), 0, 1
+    points of GF(q)^dim would pass ``guard`` (by default default_guard());
+    counted only up to it."""
+    guard = default_guard() if guard is None else guard
+    count, power = 0, 1
     for _ in range(dim):
         count, power = count + power, power * q
         if count > guard:

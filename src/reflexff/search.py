@@ -32,8 +32,8 @@ from itertools import combinations, product
 from .errors import GuardExceeded, TheoremViolation
 from .field import FieldSpec, field_make
 from .matrix import Matrix, iter_projective, rref_rows
-from .opspace import (OperatorSpace, closure_system, default_guard,
-                      hyperplane_lld_check, rank_walk)
+from .opspace import (OperatorSpace, _guard_points, closure_system,
+                      default_guard, hyperplane_lld_check, rank_walk)
 
 RNG_NAME = "python-mt19937"
 
@@ -76,13 +76,26 @@ def _pattern_subspaces(q, ambient, pivots):
         yield tuple(tuple(r) for r in rows)
 
 
+def _count_subspaces(m: int, k: int, q: int, guard: int) -> int:
+    """[m, k]_q, or GuardExceeded when it passes the guard.  Since
+    [m, k]_q >= 2^(k(m - k)), the shape alone decides a count far past the
+    guard, which is then never formed."""
+    low = min(k, m - k)
+    if low * (m - low) < guard.bit_length():
+        total = gaussian_binomial(m, k, q)
+        if total <= guard:
+            return total
+    raise GuardExceeded(f"enumeration of the {k}-dimensional subspaces of "
+                        f"GF({q})^{m} exceeds the guard {guard}")
+
+
 def enumerate_subspaces(q: int, ambient: int, k: int, guard: int | None = None):
     """Each k-dimensional subspace of GF(q)^ambient exactly once, as its
     unique RREF basis; ordered by pivot pattern, then free entries."""
-    total = gaussian_binomial(ambient, k, q)
-    if guard is not None and total > guard:
-        raise GuardExceeded(
-            f"enumeration of {total} subspaces exceeds the guard {guard}")
+    if guard is None:
+        gaussian_binomial(ambient, k, q)  # a k outside [0, ambient] raises
+    else:
+        _count_subspaces(ambient, k, q, guard)
     if k == 0:
         yield ()
         return
@@ -102,33 +115,6 @@ class SearchParams:
     jobs: int = 1
     guard: int | None = None
     deep_checks: bool = False
-
-    def guard_value(self) -> int:
-        if self.guard is None:
-            return default_guard()
-        if self.guard < 1:
-            raise ValueError(f"guard must be at least 1, got {self.guard}")
-        return self.guard
-
-
-def _ambient(params: SearchParams, mode: str) -> int:
-    """dim_u * dim_v of a well-formed search in ``mode``; a malformed mode,
-    the other mode, a malformed shape, n, job count or guard raises
-    ValueError before any scan."""
-    if params.mode not in ("exhaustive", "random"):
-        raise ValueError(
-            f"mode must be 'exhaustive' or 'random', got {params.mode!r}")
-    if params.mode != mode:
-        raise ValueError(f"{params.mode} mode is run by {params.mode}_verify")
-    if params.dim_u < 1 or params.dim_v < 1:
-        raise ValueError("dim_u and dim_v must be >= 1")
-    ambient = params.dim_u * params.dim_v
-    if not 0 <= params.n <= ambient:
-        raise ValueError(f"n must lie in [0, {ambient}], got {params.n}")
-    if params.jobs < 1:
-        raise ValueError(f"jobs must be at least 1, got {params.jobs}")
-    params.guard_value()
-    return ambient
 
 
 @dataclass
@@ -264,13 +250,8 @@ def _scan_pattern(params: SearchParams, collect_extremal: bool, pivots) -> _Acc:
     return acc
 
 
-def _run_exhaustive(params: SearchParams, collect_extremal: bool) -> _Acc:
-    ambient = _ambient(params, "exhaustive")
-    guard = params.guard_value()
-    total = gaussian_binomial(ambient, params.n, params.field.q)
-    if total > guard:
-        raise GuardExceeded(
-            f"enumeration of {total} subspaces exceeds the guard {guard}")
+def _run_exhaustive(params: SearchParams, ambient: int,
+                    collect_extremal: bool) -> _Acc:
     # n = 0 has the one pattern (), whose one basis () is the zero space
     patterns = list(combinations(range(ambient), params.n))
     scan = functools.partial(_scan_pattern, params, collect_extremal)
@@ -286,10 +267,8 @@ def _run_exhaustive(params: SearchParams, collect_extremal: bool) -> _Acc:
     return acc
 
 
-def _run_random(params: SearchParams, collect_extremal: bool) -> _Acc:
-    ambient = _ambient(params, "random")
-    if params.samples < 1:
-        raise ValueError("random mode needs samples >= 1")
+def _run_random(params: SearchParams, ambient: int,
+                collect_extremal: bool) -> _Acc:
     f = params.field
     q = f.q
     rng = random.Random(params.seed)
@@ -305,15 +284,42 @@ def _run_random(params: SearchParams, collect_extremal: bool) -> _Acc:
     return acc
 
 
-def _build_report(params: SearchParams, acc: _Acc, mode: str,
-                  extremal: bool) -> SearchReport:
-    f = params.field
-    n = params.n
+def _search(params: SearchParams, mode: str, extremal: bool) -> SearchReport:
+    """Validate, bound, run and report the search ``params`` in ``mode``.
+
+    A malformed mode, the other mode, a malformed shape, n, job count,
+    guard or sample count raises ValueError, and a slice or a sample walk
+    past the guard raises GuardExceeded, before any scan; a broken rank
+    bound raises TheoremViolation carrying the report."""
+    if params.mode not in ("exhaustive", "random"):
+        raise ValueError(
+            f"mode must be 'exhaustive' or 'random', got {params.mode!r}")
+    if params.mode != mode:
+        raise ValueError(f"{params.mode} mode is run by {params.mode}_verify")
+    if params.dim_u < 1 or params.dim_v < 1:
+        raise ValueError("dim_u and dim_v must be >= 1")
+    f, n = params.field, params.n
+    ambient = params.dim_u * params.dim_v
+    if not 0 <= n <= ambient:
+        raise ValueError(f"n must lie in [0, {ambient}], got {n}")
+    if params.jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {params.jobs}")
+    guard = default_guard() if params.guard is None else params.guard
+    if guard < 1:
+        raise ValueError(f"guard must be at least 1, got {guard}")
+    sampled = mode == "random"
+    if sampled:
+        if params.samples < 1:
+            raise ValueError("random mode needs samples >= 1")
+        # each sample walks these points and members, as analyze and mrk do
+        _guard_points(f.q, params.dim_u, "closure", guard)
+        _guard_points(f.q, n, "rank scan", guard)
+        population, acc = None, _run_random(params, ambient, extremal)
+    else:
+        population = _count_subspaces(ambient, n, f.q, guard)
+        acc = _run_exhaustive(params, ambient, extremal)
     if f.q > n >= 3:
-        if acc.bad_2n3 is not None:
-            status = "violated"
-        else:
-            status = "holds"
+        status = "holds" if acc.bad_2n3 is None else "violated"
     else:
         status = "not-applicable"
     report = SearchReport(
@@ -322,42 +328,27 @@ def _build_report(params: SearchParams, acc: _Acc, mode: str,
         dim_v=params.dim_v,
         n=n,
         mode=mode,
-        population=(gaussian_binomial(params.dim_u * params.dim_v, n, f.q)
-                    if mode == "exhaustive" else None),
-        samples=params.samples if mode == "random" else None,
-        seed=params.seed if mode == "random" else None,
-        rng=RNG_NAME if mode == "random" else None,
-        guard=params.guard_value(),
+        population=population,
+        samples=params.samples if sampled else None,
+        seed=params.seed if sampled else None,
+        rng=RNG_NAME if sampled else None,
+        guard=guard,
         spaces_examined=acc.examined,
         reflexive_count=acc.reflexive,
         nonreflexive_count=acc.nonreflexive,
-        mrk_histogram=dict(acc.hist),
+        mrk_histogram=acc.hist,
         max_mrk=acc.max_mrk,
         max_mrk_witness=acc.max_witness,
-        violations=list(acc.violations),
+        violations=acc.violations,
         bound_2n_minus_3_status=status,
         bound_2n_minus_3_witness=acc.bad_2n3,
-    )
-    if extremal:
-        labels = []
-        if acc.max_mrk is not None:
-            if acc.max_mrk == 2 * n - 2:
-                labels.append("2n-2")
-            if acc.max_mrk == 2 * n - 3:
-                labels.append("2n-3")
-            if acc.max_mrk == n:
-                labels.append("n")
-        report.extremal = {
+        extremal={
             "max_mrk": acc.max_mrk,
-            "witnesses": list(acc.extremal),
-            "equals": labels,
-        }
-    return report
-
-
-def _finish(params: SearchParams, acc: _Acc, mode: str,
-            extremal: bool) -> SearchReport:
-    report = _build_report(params, acc, mode, extremal)
+            "witnesses": acc.extremal,
+            "equals": [label for label, value in
+                       (("2n-2", 2 * n - 2), ("2n-3", 2 * n - 3), ("n", n))
+                       if acc.max_mrk == value]} if extremal else None,
+    )
     if report.violations:
         raise TheoremViolation(
             "THEOREM VIOLATION: a scanned non-reflexive space broke a rank bound",
@@ -367,23 +358,17 @@ def _finish(params: SearchParams, acc: _Acc, mode: str,
 
 def exhaustive_verify(params: SearchParams) -> SearchReport:
     """Classify every n-dimensional space in the configured slice."""
-    acc = _run_exhaustive(params, collect_extremal=False)
-    return _finish(params, acc, "exhaustive", extremal=False)
+    return _search(params, "exhaustive", extremal=False)
 
 
 def random_verify(params: SearchParams) -> SearchReport:
     """Classify seeded random spaces; reproducible from the seed."""
-    acc = _run_random(params, collect_extremal=False)
-    return _finish(params, acc, "random", extremal=False)
+    return _search(params, "random", extremal=False)
 
 
 def find_extremal(params: SearchParams) -> SearchReport:
     """Like the verifiers, with every maximum-mrk witness collected."""
-    if params.mode == "random":
-        acc = _run_random(params, collect_extremal=True)
-    else:
-        acc = _run_exhaustive(params, collect_extremal=True)
-    return _finish(params, acc, params.mode, extremal=True)
+    return _search(params, params.mode, extremal=True)
 
 
 def construct_regular_rep(base: FieldSpec, n: int) -> OperatorSpace:

@@ -274,6 +274,13 @@ def test_trace_outside_regime_claims_nothing():
 def test_trace_validation():
     with pytest.raises(ValueError):
         proof_trace(2, 3, 2, {2: 3})       # sums to q^n - 1
+    # the sum is first refused by bit length: check both sides of q^n
+    for q in (2, 3, 4, 5, 7, 8, 9, 16, 17, 257):
+        for n in (1, 2, 3, 5):
+            assert proof_trace(q, 2 * n, n, {n: q**n}).n == n
+            for total in (q**n - 1, q**n + 1, q**(n - 1), q**(n + 1)):
+                with pytest.raises(ValueError, match=rf"q\^n = {q}\^{n}$"):
+                    proof_trace(q, 2 * n, n, {n: total})
     with pytest.raises(ValueError):
         proof_trace(2, 3, 2, {4: 4})       # rank above p
     with pytest.raises(ValueError):

@@ -172,6 +172,14 @@ def test_trace_contradictions():
     assert code == 2 and "sum" in err
 
 
+@pytest.mark.parametrize("n", ["100000000", "10000000000"])
+def test_trace_profile_far_from_q_to_the_n_exit_2(cli_child, n):
+    code, out, err = cli_child(["trace", "--q", "2", "--p", "3", "--n", n,
+                                "--profile", "2:4"])
+    assert code == 2 and out == ""
+    assert err == f"error: profile counts must sum to q^n = 2^{n}\n"
+
+
 def test_trace_repeated_rank_exit_2():
     code, out, err = run_cli(["trace", "--q", "2", "--p", "3", "--n", "1",
                               "--profile", "1:2,1:2"])
@@ -236,6 +244,44 @@ def test_search_guard_exit_5():
     code, _, err = run_cli(["search", "--q", "2", "--dim-u", "3", "--dim-v", "3",
                             "--n", "2", "--guard", "10"])
     assert code == 5 and "guard" in err
+
+
+@pytest.mark.parametrize("dims", [("40", "40", "800"), ("60", "60", "1800"),
+                                  ("1000000", "1000000", "1")],
+                         ids=["40x40", "60x60", "1e6x1e6"])
+def test_search_slice_far_past_the_guard_exit_5(cli_child, dims):
+    # counts of at least 2^640000 subspaces: refused by their shape, never formed
+    dim_u, dim_v, n = dims
+    code, out, err = cli_child(["search", "--q", "2", "--dim-u", dim_u,
+                                "--dim-v", dim_v, "--n", n])
+    assert code == 5 and out == ""
+    assert f"{n}-dimensional subspaces of GF(2)^" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("shape, points, members, refused", [
+    (("3", "2", "2", "2"), 4, 4, "closure"),
+    (("2", "3", "1", "1"), 7, 1, "closure"),
+    (("2", "1", "4", "3"), 1, 7, "rank scan"),
+], ids=["gf3-2x2-n2", "gf2-3x1-n1", "gf2-1x4-n3"])
+def test_random_search_guards_each_sample_walk(shape, points, members, refused):
+    # each sample walks the projective points of GF(q)^dim_u and its own
+    # projective members
+    q, dim_u, dim_v, n = shape
+    base = ["search", "--q", q, "--dim-u", dim_u, "--dim-v", dim_v, "--n", n,
+            "--mode", "random", "--samples", "3", "--guard"]
+    guard = max(points, members)
+    code, out, err = run_cli(base + [str(guard - 1)])
+    assert code == 5 and out == "" and err.startswith(f"error: {refused} walk")
+    code, out, _ = run_cli(base + [str(guard)])
+    assert code == 0 and json.loads(out)["spaces_examined"] == 3
+
+
+def test_random_hyperplane_sample_past_the_guard_exit_5(cli_child):
+    # one GF(2) hyperplane sample walks all 2^24 - 1 points of GF(2)^24
+    code, out, err = cli_child(["search", "--q", "2", "--dim-u", "24",
+                                "--dim-v", "2", "--n", "47", "--mode", "random",
+                                "--samples", "1"])
+    assert code == 5 and out == "" and "points exceeds the guard" in err
 
 
 @pytest.mark.parametrize("raw", ["abc", "0"])

@@ -47,6 +47,15 @@ def test_enumerate_counts_and_uniqueness():
         subs = list(enumerate_subspaces(q, ambient, k))
         assert len(subs) == gaussian_binomial(ambient, k, q)
         assert len(set(subs)) == len(subs)
+    # a guard of exactly the count admits the enumeration, one less refuses it
+    for q in (2, 3, 4):
+        for ambient in range(1, 5):
+            for k in range(ambient + 1):
+                total = gaussian_binomial(ambient, k, q)
+                assert len(list(enumerate_subspaces(q, ambient, k, total))) == total
+                if total > 1:
+                    with pytest.raises(GuardExceeded):
+                        next(enumerate_subspaces(q, ambient, k, total - 1))
 
 
 def test_enumerate_whole_space_case():
@@ -80,6 +89,9 @@ def test_enumerate_matches_brute_span_dedup():
 def test_enumerate_guard():
     with pytest.raises(GuardExceeded):
         list(enumerate_subspaces(2, 6, 2, guard=100))
+    # [240, 120]_2 has over 4300 digits: the message names the shape instead
+    with pytest.raises(GuardExceeded, match=r"120-dimensional subspaces of GF\(2\)\^240"):
+        next(enumerate_subspaces(2, 240, 120, guard=100))
 
 
 def test_guard_env_override(monkeypatch):
@@ -180,9 +192,9 @@ def test_benchmark_slice_gf2_counts_and_jobs_invariance():
     assert dumps(pooled.to_dict()) == dumps(report.to_dict())
 
 
-def test_spawn_workers_rebuild_the_closure_memo(monkeypatch):
+@pytest.mark.parametrize("jobs", [2, 3])
+def test_spawn_workers_rebuild_the_closure_memo(monkeypatch, jobs):
     import multiprocessing
-    import os
 
     import reflexff.search as search
 
@@ -196,14 +208,16 @@ def test_spawn_workers_rebuild_the_closure_memo(monkeypatch):
         return spawn_pool(processes)
 
     monkeypatch.setattr(search.multiprocessing, "Pool", pool)
+    monkeypatch.setattr(search.os, "cpu_count", lambda: 3)
     base = dict(field=GF2, dim_u=2, dim_v=3, n=2)
     serial = exhaustive_verify(SearchParams(jobs=1, **base))
-    pooled = exhaustive_verify(SearchParams(jobs=2, **base))
+    pooled = exhaustive_verify(SearchParams(jobs=jobs, **base))
     assert dumps(pooled.to_dict()) == dumps(serial.to_dict())
-    assert sizes == ([2] if (os.cpu_count() or 1) >= 2 else [])
+    assert sizes == [jobs]
 
 
-def test_spawn_workers_walk_ranks_from_an_empty_memo(monkeypatch):
+@pytest.mark.parametrize("jobs", [2, 3])
+def test_spawn_workers_walk_ranks_from_an_empty_memo(monkeypatch, jobs):
     import multiprocessing
 
     import reflexff.search as search
@@ -212,11 +226,42 @@ def test_spawn_workers_walk_ranks_from_an_empty_memo(monkeypatch):
     # spawned worker's starts empty; the merged report must not depend on it
     spawn_pool = multiprocessing.get_context("spawn").Pool
     monkeypatch.setattr(search.multiprocessing, "Pool", spawn_pool)
+    monkeypatch.setattr(search.os, "cpu_count", lambda: 3)
     base = dict(field=GF2, dim_u=3, dim_v=2, n=3)
     serial = exhaustive_verify(SearchParams(jobs=1, **base))
-    pooled = exhaustive_verify(SearchParams(jobs=2, **base))
+    pooled = exhaustive_verify(SearchParams(jobs=jobs, **base))
     assert pooled.nonreflexive_count == 951
     assert dumps(pooled.to_dict()) == dumps(serial.to_dict())
+
+
+@pytest.mark.parametrize("method", ["fork", "spawn"])
+def test_find_extremal_merges_witnesses_across_workers(monkeypatch, method):
+    import multiprocessing
+
+    # all 48 mrk-2 spaces of the exhaustive-gf2 slice lie in its first
+    # pivot pattern; the 182 of GF(2), dim_u=2, dim_v=3, n=2 lie in six.
+    # Their merged list must follow the enumeration whatever the split.
+    context_pool = multiprocessing.get_context(method).Pool
+    sizes = []
+
+    def pool(processes):
+        sizes.append(processes)
+        return context_pool(processes)
+
+    monkeypatch.setattr(search.multiprocessing, "Pool", pool)
+    monkeypatch.setattr(search.os, "cpu_count", lambda: 3)
+    for dim_u, dim_v, n, count in ((3, 2, 3, 48), (2, 3, 2, 182)):
+        base = dict(field=GF2, dim_u=dim_u, dim_v=dim_v, n=n)
+        serial = find_extremal(SearchParams(jobs=1, **base)).to_dict()
+        witnesses = [tuple(map(tuple, w)) for w in serial["extremal"]["witnesses"]]
+        assert len(witnesses) == count
+        order = {rows: i for i, rows in
+                 enumerate(enumerate_subspaces(2, dim_u * dim_v, n))}
+        assert sorted(witnesses, key=order.get) == witnesses
+        for jobs in (2, 3):
+            pooled = find_extremal(SearchParams(jobs=jobs, **base))
+            assert dumps(pooled.to_dict()) == dumps(serial)
+    assert sizes == [2, 3, 2, 3]
 
 
 def test_benchmark_slice_gf3_counts():
