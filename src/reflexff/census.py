@@ -24,6 +24,7 @@ inequality); nothing here is approximate.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
@@ -87,6 +88,14 @@ def _profile(walk, n):
     return profile, r, m, profile[r], h0
 
 
+def _chain_shape(p, n, profile) -> bool:
+    """Whether a rank profile has the shape the final chain of the proof
+    needs: p >= 2n-1, n >= 2, one member of rank n-1 and every other of
+    rank at least n.  A real coset avoids 0, so there n >= 2 follows."""
+    return (p >= 2 * n - 1 and n >= 2 and min(profile) == n - 1
+            and profile[n - 1] == 1)
+
+
 def _incidence(q, p, profile) -> int:
     """#N by the exact identity: sum over h in T of q^(p - rank h)."""
     return sum(c * q**(p - rk) for rk, c in profile.items())
@@ -134,17 +143,26 @@ def _nprime(coset: Coset, h0, others) -> int:
                for h in others)
 
 
+_RELATIONS = {"<=": operator.le, ">=": operator.ge, ">": operator.gt}
+
+
 @dataclass
 class Check:
-    """One named relation with both sides evaluated exactly."""
+    """One named relation ``lhs relation rhs``, evaluated exactly; a check
+    given a ``reason`` is skipped and has no sides."""
 
     name: str
-    relation: str = "<="
+    relation: str
     lhs: object = None
     rhs: object = None
-    holds: bool | None = None
-    status: str = "evaluated"  # or "skipped"
     reason: str = ""
+    holds: bool | None = dc_field(init=False)
+    status: str = dc_field(init=False)
+
+    def __post_init__(self):
+        skipped = bool(self.reason)
+        self.holds = None if skipped else _RELATIONS[self.relation](self.lhs, self.rhs)
+        self.status = "skipped" if skipped else "evaluated"
 
     def to_dict(self) -> dict:
         def enc(v):
@@ -198,19 +216,13 @@ def census_report(coset: Coset) -> CensusReport:
 
     nprime = _nprime(coset, h0, (h for coeffs, h, _ in walk if coeffs != h0_coeffs))
 
-    verdicts = []
-    floor = q**n + q**p - 1
-    verdicts.append(Check("coverage", "<=", floor, total, floor <= total))
-
-    shape_ok = (p >= 2 * n - 1 and r == n - 1 and mult == 1
-                and all(rk >= n for rk in profile if rk != r))
-    if not shape_ok:
-        verdicts.append(Check(
-            "nprime_floor", ">=", status="skipped",
-            reason="needs p >= 2n-1, a unique rank n-1 member, and all others of rank >= n"))
+    if _chain_shape(p, n, profile):
+        nprime_floor = Check("nprime_floor", ">=", nprime, nprime_lower)
     else:
-        verdicts.append(Check(
-            "nprime_floor", ">=", nprime, nprime_lower, nprime >= nprime_lower))
+        nprime_floor = Check(
+            "nprime_floor", ">=",
+            reason="needs p >= 2n-1, a unique rank n-1 member, and all others of rank >= n")
+    verdicts = [Check("coverage", "<=", q**n + q**p - 1, total), nprime_floor]
 
     return CensusReport(
         q=q, p=p, n=n,
@@ -283,94 +295,59 @@ def proof_trace(q: int, p: int, n: int, profile: dict) -> TraceReport:
     mult = profile[r]
     m = sum(c for rk, c in profile.items() if rk <= n)
 
-    checks: list[Check] = []
-    required: list[str] = []
-
     # Claim 1: if every rank is at least n, coverage caps #N at q^p
     # and the floor already exceeds it.
-    if r >= n:
-        checks.append(Check("claim1", "<=", floor, q**p, floor <= q**p))
-        required.append("claim1")
-    else:
-        checks.append(Check("claim1", "<=", status="skipped",
-                            reason="profile has a member of rank below n"))
-
-    checks.append(Check("coverage", "<=", floor, n_exact, floor <= n_exact))
-    required.append("coverage")
+    checks = [Check("claim1", "<=", floor, q**p) if r >= n else
+              Check("claim1", "<=", reason="profile has a member of rank below n"),
+              Check("coverage", "<=", floor, n_exact)]
 
     # Claim 2: two members whose ranks sum to 2n-2 or less would differ by
     # a nonzero member of S of rank at most 2n-2.
     ranks_sorted = sorted(profile)
     second = r if mult >= 2 else (ranks_sorted[1] if len(ranks_sorted) > 1 else None)
     if second is None:
-        checks.append(Check("claim2", ">", status="skipped",
-                            reason="coset has a single member"))
-        shape2 = True
+        checks.append(Check("claim2", ">", reason="coset has a single member"))
     else:
-        pair_sum = r + second
-        holds2 = pair_sum > 2 * n - 2
-        checks.append(Check("claim2", ">", pair_sum, 2 * n - 2, holds2))
-        required.append("claim2")
-        shape2 = holds2
+        checks.append(Check("claim2", ">", r + second, 2 * n - 2))
+    gap = checks[-1].holds is not False
 
     # Claim 3: with a unique minimum-rank member and the claim-2 gap,
     # coverage forces q^(p-r) (q^r - 1) <= (q^n - 1)(q^(p-2n+1+r) - 1).
-    claim3_ok = regime and n >= 2 and 1 <= r <= n - 1 and mult == 1 and shape2
-    if claim3_ok:
-        lhs3 = q**(p - r) * (q**r - 1)
-        rhs3 = (q**n - 1) * (q**(p - 2 * n + 1 + r) - 1)
-        checks.append(Check("claim3", "<=", lhs3, rhs3, lhs3 <= rhs3))
-        required.append("claim3")
+    if regime and n >= 2 and 1 <= r <= n - 1 and mult == 1 and gap:
         qf = Fraction(q)
-        lhs3f = qf**(r - n + 1)
-        rhs3f = (1 - qf**(-r)) / ((1 - qf**(-n)) * (1 - qf**(2 * n - p - 1 - r)))
-        checks.append(Check("claim3_factored", ">=", lhs3f, rhs3f, lhs3f >= rhs3f))
+        checks += [
+            Check("claim3", "<=", q**(p - r) * (q**r - 1),
+                  (q**n - 1) * (q**(p - 2 * n + 1 + r) - 1)),
+            Check("claim3_factored", ">=", qf**(r - n + 1),
+                  (1 - qf**(-r)) / ((1 - qf**(-n)) * (1 - qf**(2 * n - p - 1 - r))))]
     else:
         reason = ("needs p >= 2n-1, n >= 2, a unique minimum-rank member with "
                   "1 <= r <= n-1, and the claim-2 gap")
-        checks.append(Check("claim3", "<=", status="skipped", reason=reason))
-        checks.append(Check("claim3_factored", ">=", status="skipped", reason=reason))
+        checks += [Check("claim3", "<=", reason=reason),
+                   Check("claim3_factored", ">=", reason=reason)]
 
     # Final chain: needs the full shape r = n-1 unique, everything else
     # of rank at least n, inside the regime.
-    chain_ok = (regime and n >= 2 and r == n - 1 and mult == 1
-                and all(rk >= n for rk in profile if rk != r))
-    if chain_ok:
-        lhs_majo = n_exact
-        rhs_majo = (q**(p - n + 1) + (m - 1) * q**(p - n)
-                    + (q**n - m) * q**(p - n - 1))
-        checks.append(Check("majo3", "<=", lhs_majo, rhs_majo, lhs_majo <= rhs_majo))
-        required.append("majo3")
-
-        lhs_mino = q**n + q**p - 1 + (q**(p - 2 * n + 1) - 1) * (m - 1)
-        checks.append(Check("mino3", "<=", lhs_mino, n_exact, lhs_mino <= n_exact))
-        required.append("mino3")
-
-        lhs_mineq = (q**n + q**p - q**(p - 2 * n + 1) - q**(p - n + 1)
-                     + q**(p - n) - q**(p - 1))
-        rhs_mineq = m * (q**(p - n) - q**(p - n - 1) - q**(p - 2 * n + 1) + 1)
-        checks.append(Check("minequality", "<=", lhs_mineq, rhs_mineq,
-                            lhs_mineq <= rhs_mineq))
-        required.append("minequality")
-
-        checks.append(Check("final_reduction", "<=", q**(p - n), q**(p - 2 * n + 1),
-                            q**(p - n) <= q**(p - 2 * n + 1)))
+    if _chain_shape(p, n, profile):
+        checks += [
+            Check("majo3", "<=", n_exact, q**(p - n + 1) + (m - 1) * q**(p - n)
+                  + (q**n - m) * q**(p - n - 1)),
+            Check("mino3", "<=", floor + (q**(p - 2 * n + 1) - 1) * (m - 1), n_exact),
+            Check("minequality", "<=",
+                  q**n + q**p - q**(p - 2 * n + 1) - q**(p - n + 1)
+                  + q**(p - n) - q**(p - 1),
+                  m * (q**(p - n) - q**(p - n - 1) - q**(p - 2 * n + 1) + 1)),
+            Check("final_reduction", "<=", q**(p - n), q**(p - 2 * n + 1))]
     else:
         reason = ("needs p >= 2n-1, n >= 2, a unique rank n-1 member, "
                   "and every other rank at least n")
-        for name in ("majo3", "mino3", "minequality", "final_reduction"):
-            checks.append(Check(name, "<=", status="skipped", reason=reason))
+        checks += [Check(name, "<=", reason=reason)
+                   for name in ("majo3", "mino3", "minequality", "final_reduction")]
 
-    contradiction = False
-    via = None
-    if regime:
-        by_name = {c.name: c for c in checks}
-        for name in ("claim1", "coverage", "claim2", "claim3",
-                     "majo3", "mino3", "minequality"):
-            if name in required and by_name[name].holds is False:
-                contradiction = True
-                via = name
-                break
+    # the first failed link names the contradiction; claim3_factored and
+    # final_reduction only restate claim3 and minequality
+    via = next((c.name for c in checks if c.holds is False and c.name not in
+                ("claim3_factored", "final_reduction")), None) if regime else None
 
     return TraceReport(
         q=q, p=p, n=n,
@@ -378,6 +355,6 @@ def proof_trace(q: int, p: int, n: int, profile: dict) -> TraceReport:
         incidence_exact=n_exact,
         regime_met=regime,
         checks=checks,
-        contradiction=contradiction,
+        contradiction=via is not None,
         contradiction_via=via,
     )

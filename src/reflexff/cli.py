@@ -15,7 +15,6 @@ diagnostics go to stderr.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from . import __version__
@@ -210,41 +209,27 @@ def build_parser() -> argparse.ArgumentParser:
                         version=f"reflexff {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--output", help="write the report here instead of stdout")
-        p.add_argument("--pretty", action="store_true",
-                       help="human-readable table instead of JSON")
+    def command(name, func, help, *positionals):
+        p = sub.add_parser(name, help=help)
+        for arg in positionals:
+            p.add_argument(arg)
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("analyze", help="full analysis of a space file")
-    p.add_argument("space")
-    common(p)
-    p.set_defaults(func=cmd_analyze)
+    command("analyze", cmd_analyze, "full analysis of a space file", "space")
+    command("closure", cmd_closure, "write the reflexive closure as a space file",
+            "space")
+    command("mrk", cmd_mrk, "minimal rank and witness of a space file", "space")
+    command("census", cmd_census, "coset census for a space and a witness g",
+            "space").add_argument("g", help="matrix file for the closure witness")
 
-    p = sub.add_parser("closure", help="write the reflexive closure as a space file")
-    p.add_argument("space")
-    common(p)
-    p.set_defaults(func=cmd_closure)
-
-    p = sub.add_parser("mrk", help="minimal rank and witness of a space file")
-    p.add_argument("space")
-    common(p)
-    p.set_defaults(func=cmd_mrk)
-
-    p = sub.add_parser("census", help="coset census for a space and a witness g")
-    p.add_argument("space")
-    p.add_argument("g", help="matrix file for the closure witness")
-    common(p)
-    p.set_defaults(func=cmd_census)
-
-    p = sub.add_parser("trace", help="exact trace of the counting argument")
+    p = command("trace", cmd_trace, "exact trace of the counting argument")
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--profile", required=True, help='rank profile "rank:count,..."')
-    common(p)
-    p.set_defaults(func=cmd_trace)
 
-    p = sub.add_parser("search", help="verify the rank bound over a slice of spaces")
+    p = command("search", cmd_search, "verify the rank bound over a slice of spaces")
     p.add_argument("--q", type=int, required=True, help="field order (prime power)")
     p.add_argument("--dim-u", type=int, required=True, dest="dim_u")
     p.add_argument("--dim-v", type=int, required=True, dest="dim_v")
@@ -261,15 +246,17 @@ def build_parser() -> argparse.ArgumentParser:
                    help="collect every maximum-mrk witness")
     p.add_argument("--deep-checks", action="store_true", dest="deep_checks",
                    help="also assert the hyperplane local-dependence property")
-    common(p)
-    p.set_defaults(func=cmd_search)
 
-    p = sub.add_parser("construct", help="write a constructed space file")
+    p = command("construct", cmd_construct, "write a constructed space file")
     p.add_argument("family", choices=["regular-rep"])
     p.add_argument("--p", type=int, required=True, help="prime field order")
     p.add_argument("--n", type=int, required=True)
-    common(p)
-    p.set_defaults(func=cmd_construct)
+
+    # every subcommand's own arguments come first in its help
+    for p in sub.choices.values():
+        p.add_argument("--output", help="write the report here instead of stdout")
+        p.add_argument("--pretty", action="store_true",
+                       help="human-readable table instead of JSON")
 
     return parser
 
@@ -303,7 +290,7 @@ def main(argv=None) -> int:
             print(f"THEOREM VIOLATION: report dumped to {VIOLATION_DUMP}",
                   file=sys.stderr)
         return 10
-    except (ValueError, TypeError, KeyError, OSError, json.JSONDecodeError) as e:
+    except (ValueError, TypeError, KeyError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -23,32 +23,17 @@ TABLE_LIMIT = 256
 MAX_ORDER = 1 << 16
 
 
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
-
-
-def _prime_factors(n: int) -> list[int]:
-    out = []
+def _prime_factors(n: int) -> dict[int, int]:
+    """prime -> exponent for n >= 1, by trial division up to sqrt(n)."""
+    out = {}
     d = 2
     while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
+        while n % d == 0:
+            out[d] = out.get(d, 0) + 1
+            n //= d
         d += 1
     if n > 1:
-        out.append(n)
+        out[n] = 1
     return out
 
 
@@ -134,11 +119,11 @@ class FieldSpec:
             raise ValueError(f"characteristic must be prime, got {p!r}")
         if not isinstance(k, int) or k < 1:
             raise ValueError(f"extension degree must be >= 1, got {k!r}")
-        # bounded before a power or is_prime runs: p >= 2 puts k > 16 past 2^16
+        # bounded before a power or a factoring runs: p >= 2 puts k > 16 past 2^16
         if k > 16 or p**k > MAX_ORDER:
             order = p if k == 1 else f"{p}^{k}"
             raise ValueError(f"field order {order} exceeds the supported 2^16")
-        if not is_prime(p):
+        if _prime_factors(p) != {p: 1}:
             raise ValueError(f"characteristic must be prime, got {p!r}")
         q = p**k
         self.p = p
@@ -342,14 +327,8 @@ def field_from_order(q: int) -> FieldSpec:
         raise ValueError(f"field order must be an integer >= 2, got {q!r}")
     if q > MAX_ORDER:
         raise ValueError(f"field order {q} exceeds the supported 2^16")
-    for p in range(2, q + 1):
-        if q % p == 0:
-            k = 0
-            m = q
-            while m % p == 0:
-                m //= p
-                k += 1
-            if m != 1:
-                raise ValueError(f"{q} is not a prime power")
-            return field_make(p, k)
-    raise ValueError(f"{q} is not a prime power")
+    factors = _prime_factors(q)
+    if len(factors) != 1:
+        raise ValueError(f"{q} is not a prime power")
+    [(p, k)] = factors.items()
+    return field_make(p, k)

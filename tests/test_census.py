@@ -1,3 +1,4 @@
+import hashlib
 import random
 from collections import Counter
 from fractions import Fraction
@@ -22,6 +23,8 @@ from reflexff import (
     proof_trace,
 )
 from reflexff import census, kernels, opspace
+from reflexff.census import Check
+from reflexff.serialize import dumps
 from oracles import brute_closure_set, space_element_set
 
 GF2 = field_make(2)
@@ -209,6 +212,64 @@ def test_trace_final_chain_contradiction():
     assert by_name["mino3"].holds is False            # 11 <= 10 fails
     assert by_name["minequality"].holds is False      # 5 <= 4 fails
     assert by_name["final_reduction"].holds is False  # 2 <= 1
+
+
+def test_check_derives_its_verdict():
+    assert [Check("c", rel, 2, 3).holds for rel in ("<=", ">=", ">")] == [
+        True, False, False]
+    assert Check("c", ">=", 3, 3).status == "evaluated"
+    skipped = Check("c", ">", reason="why")
+    assert (skipped.lhs, skipped.rhs, skipped.holds, skipped.status) == (
+        None, None, None, "skipped")
+
+
+@pytest.mark.parametrize("args, via", [
+    ((2, 3, 2, {2: 4}), "claim1"),
+    ((2, 3, 2, {1: 1, 2: 3}), "coverage"),
+    ((2, 3, 2, {3: 1, 2: 1, 0: 2}), "claim2"),
+    ((2, 4, 2, {1: 1, 2: 3}), "mino3"),
+    ((4, 2, 1, {1: 3, 0: 1}), None),
+], ids=["claim1", "coverage", "claim2", "mino3", "none"])
+def test_trace_contradiction_via_each_first_failure(args, via):
+    # every name that came first over 200,000 sampled profiles; claim3,
+    # majo3 and minequality never did, and claim3_factored and
+    # final_reduction restate earlier links, so they never name it
+    rep = proof_trace(*args)
+    assert rep.regime_met
+    assert (rep.contradiction, rep.contradiction_via) == (via is not None, via)
+
+
+def _trace_grid(count, seed):
+    """``count`` seeded (q, p, n, profile) requests: q in {2, 3, 4, 5, 7},
+    1 <= n <= 3, 1 <= p <= 2n + 2, and a profile over one to four ranks,
+    about half of them led by a single member of least rank."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        q, n = rng.choice((2, 3, 4, 5, 7)), rng.randint(1, 3)
+        p = rng.randint(1, 2 * n + 2)
+        ranks = sorted(rng.sample(range(p + 1), rng.randint(1, min(p + 1, 4))))
+        total, lead = q**n, {}
+        if len(ranks) > 1 and rng.random() < 0.5:
+            lead, total = {ranks.pop(0): 1}, total - 1
+        ranks = ranks[:total]
+        cuts = sorted(rng.sample(range(1, total), len(ranks) - 1))
+        counts = [b - a for a, b in zip([0, *cuts], [*cuts, total])]
+        yield q, p, n, {**lead, **dict(zip(ranks, counts))}
+
+
+def test_trace_bytes_pinned_on_a_seeded_grid():
+    # the digest of 2,000 canonical trace reports, each of the five first
+    # failures above among them; a change to any check's sides, verdict,
+    # order or encoding moves it
+    digest = hashlib.sha256()
+    vias = set()
+    for q, p, n, profile in _trace_grid(2000, 0):
+        rep = proof_trace(q, p, n, profile)
+        vias.add(rep.contradiction_via)
+        digest.update(dumps(rep.to_dict()).encode())
+    assert vias == {"claim1", "coverage", "claim2", "mino3", None}
+    assert digest.hexdigest() == (
+        "6e65d46b6b966576241eaa7b484038e3197d88b153c880a805f62c2974f417a4")
 
 
 def _nprime_floor_shapes(per, seed):

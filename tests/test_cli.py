@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -6,6 +7,7 @@ import os
 import pytest
 
 from reflexff import dumps, field_make, space_to_json, construct_regular_rep
+from reflexff import cli
 from reflexff.cli import main
 
 
@@ -500,6 +502,34 @@ def test_census_pretty(space_file, e11_file):
         "            nprime_floor: skipped: needs p >= 2n-1, a unique rank n-1 "
         "member, and all others of rank >= n",
     ]) + "\n"
+
+
+_REQUESTS = [
+    ["analyze", "s.json"],
+    ["closure", "s.json"],
+    ["mrk", "s.json"],
+    ["census", "s.json", "g.json"],
+    ["trace", "--q", "2", "--p", "3", "--n", "2", "--profile", "2:4"],
+    ["search", "--q", "2", "--dim-u", "2", "--dim-v", "2", "--n", "2"],
+    ["construct", "regular-rep", "--p", "2", "--n", "2"],
+]
+
+
+def test_requests_cover_every_subcommand():
+    parser = cli.build_parser()
+    [sub] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert list(sub.choices) == [argv[0] for argv in _REQUESTS]
+
+
+@pytest.mark.parametrize("argv", _REQUESTS, ids=lambda argv: argv[0])
+def test_every_subcommand_takes_output_and_pretty(argv):
+    parser = cli.build_parser()
+    args = parser.parse_args(argv)
+    assert args.func is getattr(cli, f"cmd_{argv[0]}")
+    assert (args.output, args.pretty) == (None, False)
+    args = parser.parse_args([*argv, "--output", "out.json", "--pretty"])
+    assert args.func is getattr(cli, f"cmd_{argv[0]}")
+    assert (args.output, args.pretty) == ("out.json", True)
 
 
 def test_trace_pretty():

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from reflexff import field_make, field_from_order
+from reflexff import field, field_make, field_from_order
 from reflexff.field import poly_is_irreducible
 
 
@@ -37,7 +37,8 @@ def test_wrong_degree_and_nonmonic_modulus_rejected():
 
 
 def test_nonprime_characteristic_rejected():
-    for bad in (1, 4, 6, 9):
+    # 63001 = 251^2 and 65535 = 3 * 5 * 17 * 257 need the whole trial division
+    for bad in (1, 4, 6, 9, 63001, 65535):
         with pytest.raises(ValueError):
             field_make(bad)
 
@@ -140,6 +141,26 @@ def test_field_from_order():
         field_from_order(6)
     with pytest.raises(ValueError):
         field_from_order(12)
+
+
+def test_field_from_order_splits_like_brute_force(monkeypatch):
+    def split(q):
+        # q's least divisor p > 1 is prime: q is a prime power iff only p divides it
+        p = next(d for d in range(2, q + 1) if q % d == 0)
+        k, rest = 0, q
+        while rest % p == 0:
+            k, rest = k + 1, rest // p
+        return (p, k) if rest == 1 else None
+
+    # the split alone, without building the fields
+    monkeypatch.setattr(field, "field_make", lambda p, k: (p, k))
+    for q in [*range(2, 4097), 65521, 65535, 65536]:
+        want = split(q)
+        if want is None:
+            with pytest.raises(ValueError, match=f"^{q} is not a prime power$"):
+                field_from_order(q)
+        else:
+            assert field_from_order(q) == want, q
 
 
 def test_field_value_semantics_and_pickle():
