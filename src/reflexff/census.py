@@ -25,6 +25,7 @@ inequality); nothing here is approximate.
 from __future__ import annotations
 
 import operator
+import sys
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
@@ -287,6 +288,12 @@ def proof_trace(q: int, p: int, n: int, profile: dict) -> TraceReport:
     total, b = sum(profile.values()), q.bit_length()
     if not n * (b - 1) < total.bit_length() <= n * b or total != q**n:
         raise ValueError(f"profile counts must sum to q^n = {q}^{n}")
+    # the report's numbers stay below 4 q^(p+n) < 2^(L(p+n) + 2), L the bit
+    # length of q - 1; at 3 bits a digit they print under the default limit
+    limit = sys.int_info.default_max_str_digits
+    if (q - 1).bit_length() * (p + n) > 3 * limit:
+        raise ValueError(f"p = {p} is too large: the report's numbers, near "
+                         f"{q}^(p+n), could pass {limit} decimal digits")
 
     n_exact = _incidence(q, p, profile)
     floor = q**n + q**p - 1

@@ -3,13 +3,15 @@
 Exit codes are a stable contract:
   0 success, 2 malformed input (including a malformed REFLEXFF_GUARD, a search
   with --dim-u, --dim-v, --jobs or --guard below 1, a trace profile that
-  repeats a rank, a field order above 2^16 and a JSON file nested too deep),
-  3 dependent basis, 4 census membership failure, 5 guard exceeded by an
-  exhaustive search slice, a census coset, the point or member walk of each
+  repeats a rank, a trace p whose report numbers could pass Python's default
+  limit on printed digits, a field order above 2^16 and a JSON file nested
+  too deep), 3 dependent basis, 4 census membership failure, 5 guard
+  exceeded by an exhaustive search slice or the closure walk of an n = 0
+  slice's zero space, a census coset, the point or member walk of each
   random search sample, or that of a single space (analyze, closure, mrk),
   10 rank-bound violation.
-Reports go to stdout as pure JSON unless --output or --pretty is given;
-diagnostics go to stderr.
+Reports go to stdout as pure JSON, or to --output; --pretty renders analyze,
+census, trace and search as a table instead.  Diagnostics go to stderr.
 """
 
 from __future__ import annotations
@@ -256,7 +258,8 @@ def build_parser() -> argparse.ArgumentParser:
     for p in sub.choices.values():
         p.add_argument("--output", help="write the report here instead of stdout")
         p.add_argument("--pretty", action="store_true",
-                       help="human-readable table instead of JSON")
+                       help="human-readable table instead of JSON (analyze, "
+                            "census, trace and search)")
 
     return parser
 

@@ -96,9 +96,6 @@ def enumerate_subspaces(q: int, ambient: int, k: int, guard: int | None = None):
         gaussian_binomial(ambient, k, q)  # a k outside [0, ambient] raises
     else:
         _count_subspaces(ambient, k, q, guard)
-    if k == 0:
-        yield ()
-        return
     for pivots in combinations(range(ambient), k):
         yield from _pattern_subspaces(q, ambient, pivots)
 
@@ -288,9 +285,9 @@ def _search(params: SearchParams, mode: str, extremal: bool) -> SearchReport:
     """Validate, bound, run and report the search ``params`` in ``mode``.
 
     A malformed mode, the other mode, a malformed shape, n, job count,
-    guard or sample count raises ValueError, and a slice or a sample walk
-    past the guard raises GuardExceeded, before any scan; a broken rank
-    bound raises TheoremViolation carrying the report."""
+    guard or sample count raises ValueError, and a slice, its closure walk
+    or a sample walk past the guard raises GuardExceeded, before any scan;
+    a broken rank bound raises TheoremViolation carrying the report."""
     if params.mode not in ("exhaustive", "random"):
         raise ValueError(
             f"mode must be 'exhaustive' or 'random', got {params.mode!r}")
@@ -317,6 +314,10 @@ def _search(params: SearchParams, mode: str, extremal: bool) -> SearchReport:
         population, acc = None, _run_random(params, ambient, extremal)
     else:
         population = _count_subspaces(ambient, n, f.q, guard)
+        if n < ambient:
+            # every space short of the whole walks the points; only n = 0 has
+            # a population (1) below their count
+            _guard_points(f.q, params.dim_u, "closure", guard)
         acc = _run_exhaustive(params, ambient, extremal)
     if f.q > n >= 3:
         status = "holds" if acc.bad_2n3 is None else "violated"

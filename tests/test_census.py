@@ -361,6 +361,17 @@ def test_trace_is_exact_for_big_values():
     assert rep.contradiction
 
 
+@pytest.mark.parametrize("q, p_max", [(2, 12899), (3, 6449), (4, 6449),
+                                      (5, 4299), (65536, 805)])
+def test_trace_refuses_a_p_whose_numbers_could_not_print(q, p_max):
+    # (bit length of q - 1) * (p + n) is held to 3 bits per default digit
+    profile = {0: 1, 1: q - 1}
+    rep = proof_trace(q, p_max, 1, profile)
+    assert len(dumps(rep.to_dict())) > 3800
+    with pytest.raises(ValueError, match=rf"^p = {p_max + 1} is too large"):
+        proof_trace(q, p_max + 1, 1, profile)
+
+
 def test_trace_json_serializes_big_integers_as_strings():
     rep = proof_trace(4, 40, 2, {2: 16})
     d = rep.to_dict()

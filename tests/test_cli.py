@@ -278,6 +278,34 @@ def test_random_search_guards_each_sample_walk(shape, points, members, refused):
     assert code == 0 and json.loads(out)["spaces_examined"] == 3
 
 
+def test_exhaustive_zero_space_walk_is_guarded():
+    # the one space of an n = 0 slice walks the 7 points of GF(2)^3
+    base = ["search", "--q", "2", "--dim-u", "3", "--dim-v", "1", "--n", "0",
+            "--guard"]
+    code, out, err = run_cli(base + ["6"])
+    assert code == 5 and out == "" and err.startswith("error: closure walk")
+    code, out, _ = run_cli(base + ["7"])
+    assert code == 0 and json.loads(out)["spaces_examined"] == 1
+
+
+def test_exhaustive_zero_space_past_the_guard_exit_5(cli_child):
+    # a population of 1, but the zero space's closure walks 2^30 - 1 points
+    code, out, err = cli_child(["search", "--q", "2", "--dim-u", "30",
+                                "--dim-v", "1", "--n", "0"])
+    assert code == 5 and out == ""
+    assert err == ("error: closure walk over (2^30 - 1)/(2 - 1) points exceeds "
+                   "the guard 10000000\n")
+
+
+@pytest.mark.parametrize("q, p, profile", [("2", "20000", "0:1,1:1"),
+                                           ("3", "100000000", "0:1,1:2")])
+def test_trace_p_past_the_printable_exit_2(cli_child, q, p, profile):
+    code, out, err = cli_child(["trace", "--q", q, "--p", p, "--n", "1",
+                                "--profile", profile])
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: p = {p} is too large") and "limit" not in err
+
+
 def test_random_hyperplane_sample_past_the_guard_exit_5(cli_child):
     # one GF(2) hyperplane sample walks all 2^24 - 1 points of GF(2)^24
     code, out, err = cli_child(["search", "--q", "2", "--dim-u", "24",

@@ -56,6 +56,8 @@ def test_enumerate_counts_and_uniqueness():
                 if total > 1:
                     with pytest.raises(GuardExceeded):
                         next(enumerate_subspaces(q, ambient, k, total - 1))
+    # k = 0 is the one empty pivot pattern, with the one empty basis
+    assert list(enumerate_subspaces(2, 4, 0)) == [()]
 
 
 def test_enumerate_whole_space_case():
