@@ -3,13 +3,13 @@
 Exit codes are a stable contract:
   0 success, 2 malformed input (including a malformed REFLEXFF_GUARD, a search
   with --dim-u, --dim-v, --jobs or --guard below 1, a trace profile that
-  repeats a rank, a trace p whose report numbers could pass Python's default
-  limit on printed digits, a field order above 2^16 and a JSON file nested
-  too deep), 3 dependent basis, 4 census membership failure, 5 guard
-  exceeded by an exhaustive search slice or the closure walk of an n = 0
-  slice's zero space, a census coset, the point or member walk of each
-  random search sample, or that of a single space (analyze, closure, mrk),
-  10 rank-bound violation.
+  repeats a rank, a malformed --profile entry, a trace p whose report numbers
+  could pass Python's default limit on printed digits, a field order above
+  2^16 and a JSON file nested too deep), 3 dependent basis, 4 census
+  membership failure, 5 guard exceeded by an exhaustive search slice or the
+  closure walk of an n = 0 slice's zero space, a census coset, the point or
+  member walk of each random search sample, or that of a single space
+  (analyze, closure, mrk), 10 rank-bound violation.
 Reports go to stdout as pure JSON, or to --output; --pretty renders analyze,
 census, trace and search as a table instead.  Diagnostics go to stderr.
 """
@@ -60,7 +60,7 @@ def _meta(command: str, params: dict, field=None) -> dict:
 
 
 def _emit(args, payload: dict, pretty_lines=None) -> int:
-    if getattr(args, "pretty", False) and pretty_lines is not None:
+    if args.pretty and pretty_lines is not None:
         text = "\n".join(pretty_lines) + "\n"
     else:
         text = dumps(payload)
@@ -129,17 +129,38 @@ def cmd_census(args) -> int:
     return _emit(args, report, pretty + _check_lines(report["verdicts"]))
 
 
+def _clip(text: str) -> str:
+    """repr(text), cut short when it is too long to echo in a message."""
+    if len(text) <= 24:
+        return repr(text)
+    return f"{text[:24]!r}... ({len(text)} characters)"
+
+
+def _profile_int(text: str, what: str) -> int:
+    """int(text), or a ValueError that names `what` and says what was expected."""
+    try:
+        return int(text)
+    except ValueError:
+        digits, limit = text.strip().lstrip("+-"), sys.get_int_max_str_digits()
+        if digits.isdecimal() and len(digits) > limit > 0:
+            raise ValueError(f"{what} has {len(digits)} digits, more than the "
+                             f"{limit} allowed") from None
+        raise ValueError(f"{what} is not a decimal integer: {_clip(text)}") from None
+
+
 def _parse_profile(text: str) -> dict:
     profile = {}
     for part in text.split(","):
         part = part.strip()
         if not part:
             continue
-        rank, _, count = part.partition(":")
-        rank = int(rank)
+        rank, colon, count = part.partition(":")
+        if not colon:
+            raise ValueError(f"profile entry is not rank:count: {_clip(part)}")
+        rank = _profile_int(rank, "profile rank")
         if rank in profile:
             raise ValueError(f"rank {rank} appears twice in the profile")
-        profile[rank] = int(count)
+        profile[rank] = _profile_int(count, f"profile count for rank {rank}")
     if not profile:
         raise ValueError("empty profile")
     return profile
@@ -264,9 +285,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = None  # built on main's first call, then kept for the process
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one CLI request; callable repeatedly in one process."""
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
+    args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
     except MembershipError as e:

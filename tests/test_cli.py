@@ -3,6 +3,7 @@ import contextlib
 import io
 import json
 import os
+import sys
 
 import pytest
 
@@ -12,9 +13,14 @@ from reflexff.cli import main
 
 
 def run_cli(args):
+    """(exit code, stdout, stderr) of one in-process request; argparse's own
+    exits (usage errors, --help, --version) return their code too."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(args)
+        try:
+            code = main(args)
+        except SystemExit as e:
+            code = e.code
     return code, out.getvalue(), err.getvalue()
 
 
@@ -187,6 +193,24 @@ def test_trace_repeated_rank_exit_2():
                               "--profile", "1:2,1:2"])
     assert code == 2 and out == ""
     assert err.startswith("error: rank 1 appears twice") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("profile, message", [
+    ("3", "profile entry is not rank:count: '3'"),
+    ("2:4,4", "profile entry is not rank:count: '4'"),
+    ("1" * 5000, "profile entry is not rank:count: "
+                 "'111111111111111111111111'... (5000 characters)"),
+    ("a:1", "profile rank is not a decimal integer: 'a'"),
+    ("2:x", "profile count for rank 2 is not a decimal integer: 'x'"),
+    ("0:" + "1" * 5000, "profile count for rank 0 has 5000 digits, more than "
+                        f"the {sys.get_int_max_str_digits()} allowed"),
+], ids=["no-colon", "no-colon-after-a-good-entry", "no-colon-5000-digits",
+        "non-decimal-rank", "non-decimal-count", "count-past-the-digit-limit"])
+def test_trace_malformed_profile_entry_exit_2(profile, message):
+    code, out, err = run_cli(["trace", "--q", "2", "--p", "3", "--n", "2",
+                              "--profile", profile])
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("path, value", [
@@ -558,6 +582,75 @@ def test_every_subcommand_takes_output_and_pretty(argv):
     args = parser.parse_args([*argv, "--output", "out.json", "--pretty"])
     assert args.func is getattr(cli, f"cmd_{argv[0]}")
     assert (args.output, args.pretty) == ("out.json", True)
+
+
+@pytest.fixture
+def request_files(tmp_path, monkeypatch, space_file, e11_file):
+    """Run in a directory holding the s.json and g.json that _REQUESTS name."""
+    os.replace(space_file, tmp_path / "s.json")
+    os.replace(e11_file, tmp_path / "g.json")
+    monkeypatch.chdir(tmp_path)
+
+
+@pytest.mark.parametrize("argv", _REQUESTS, ids=lambda argv: argv[0])
+def test_kept_parser_parses_as_a_fresh_one(argv, request_files):
+    assert run_cli(["mrk", "s.json"])[0] == 0
+    kept = cli._PARSER
+    assert isinstance(kept, argparse.ArgumentParser)
+    for args in [argv, [*argv, "--output", "out.json", "--pretty"]] * 2:
+        assert vars(kept.parse_args(args)) == vars(cli.build_parser().parse_args(args))
+    assert cli._PARSER is kept
+
+
+@pytest.mark.parametrize("argv", _REQUESTS, ids=lambda argv: argv[0])
+def test_repeated_requests_print_what_a_fresh_process_prints(
+        argv, request_files, cli_child):
+    for args in [[*argv, "--pretty"], argv]:
+        first, second = run_cli(args), run_cli(args)
+        assert first[0] == 0 and first[1] and first == second
+    assert cli_child(argv) == first
+
+
+def test_in_process_requests_share_no_state(request_files, tmp_path, monkeypatch):
+    code, out, _ = run_cli(["analyze", "s.json", "--pretty"])
+    assert code == 0 and out.startswith("operator space analysis\n")
+    code, out, _ = run_cli(["analyze", "s.json"])
+    assert code == 0 and json.loads(out)["n"] == 2
+
+    assert run_cli(["mrk", "s.json", "--output", "mrk.json"]) == (0, "", "")
+    code, out, _ = run_cli(["mrk", "s.json"])
+    assert code == 0 and out == (tmp_path / "mrk.json").read_text(encoding="utf-8")
+
+    code, out, err = run_cli(["analyze"])
+    assert code == 2 and out == ""
+    assert err.startswith("usage: reflexff analyze") and "required" in err
+    code, out, err = run_cli(["mrk", "s.json"])
+    assert code == 0 and json.loads(out)["mrk"] == 2 and err == ""
+
+    helps = []
+    for columns in ("40", "160"):
+        monkeypatch.setenv("COLUMNS", columns)
+        code, out, err = run_cli(["--help"])
+        assert code == 0 and err == ""
+        assert out == cli.build_parser().format_help()
+        helps.append(out)
+    narrow, wide = helps
+    assert len(narrow.splitlines()) > len(wide.splitlines())
+
+
+def test_main_builds_its_parser_once(request_files, monkeypatch):
+    builds = []
+
+    def counting_build():
+        builds.append(1)
+        return real_build()
+
+    real_build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", counting_build)
+    monkeypatch.setattr(cli, "_PARSER", None, raising=False)
+    for argv in _REQUESTS[:5]:
+        assert run_cli(argv)[0] == 0
+    assert len(builds) == 1
 
 
 def test_trace_pretty():
