@@ -10,15 +10,22 @@ of degree k, stored low-degree-first.  When no modulus is supplied the
 lexicographically smallest irreducible one is selected (coefficients
 compared low-to-high as a base-p integer), which makes construction
 reproducible; pass an explicit modulus to match another tool's tables.
+
+Every field, prime fields included, is built one way: the powers of a
+generator g give exp/log tables, and the rest is read from them.  Since
+-1 = g^h (h = (q - 1)/2 for odd p, 0 for p = 2), -a = g^(log a + h);
+a^-1 = g^(q - 1 - log a); and with the Zech logarithm
+zech[d] = log(1 + g^d), a + b = g^(log a + zech[log b - log a]).
 """
 
 from __future__ import annotations
 
 import functools
+import operator
 
-# Full q*q add/mul tables are built up to this order; they feed the
-# table path of the elimination kernel.  Larger fields reduce through
-# per-call arithmetic.
+# Up to this order a field also keeps full q*q add/mul tables, their rows
+# read from its exp/log/Zech lists; they feed the table path of the
+# elimination kernel.  Larger fields add and multiply on the lists.
 TABLE_LIMIT = 256
 MAX_ORDER = 1 << 16
 
@@ -101,6 +108,18 @@ def _poly_str(modulus) -> str:
     return "+".join(terms) or "0"
 
 
+def _coefficients(modulus) -> tuple[int, ...]:
+    """``modulus`` as a tuple of ints; never coerces a float or a string."""
+    out = []
+    for c in modulus:
+        try:
+            out.append(operator.index(c))
+        except TypeError:
+            raise ValueError(
+                f"modulus coefficient {c!r} is not an integer") from None
+    return tuple(out)
+
+
 class FieldSpec:
     """An immutable description of GF(p^k) with precomputed tables.
 
@@ -111,7 +130,7 @@ class FieldSpec:
     __slots__ = (
         "p", "k", "q", "modulus",
         "neg_t", "inv_t", "add_t", "mul_t",
-        "_exp", "_log", "_hash",
+        "_exp", "_log", "_zech", "_hash",
     )
 
     def __init__(self, p: int, k: int, modulus):
@@ -138,7 +157,7 @@ class FieldSpec:
             if modulus is None:
                 modulus = _default_modulus(p, k)
             else:
-                modulus = tuple(int(c) for c in modulus)
+                modulus = _coefficients(modulus)
                 if len(modulus) != k + 1:
                     raise ValueError(
                         f"modulus must have degree {k} "
@@ -154,43 +173,34 @@ class FieldSpec:
         # hashed on every memo lookup keyed by the field, so computed once
         self._hash = hash((p, k, self.modulus))
 
-        self.neg_t = [(-a) % p if k == 1 else self._neg_digits(a) for a in range(q)]
-
-        if k > 1:
-            self._build_exp_log()
-        else:
-            self._exp = self._log = None
-
-        inv_t = [0] * q
-        for a in range(1, q):
-            inv_t[a] = pow(a, p - 2, p) if k == 1 else self._exp[(q - 1) - self._log[a]]
-        self.inv_t = inv_t
+        self._build_exp_log()
+        exp, log = self._exp, self._log
+        nonzero_logs = log[1:]
+        h = (q - 1) // 2 if p != 2 else 0
+        self.neg_t = [0] + [exp[la + h] for la in nonzero_logs]
+        self.inv_t = [0] + [exp[(q - 1) - la] for la in nonzero_logs]
+        # zech[d] = log(1 + g^d), -1 where 1 + g^d = 0; adding 1 to an
+        # encoding changes only its constant digit
+        zech = []
+        for e in exp[:q - 1]:
+            s = e + 1 if e % p != p - 1 else e - (p - 1)
+            zech.append(log[s] if s else -1)
+        self._zech = zech
 
         if q <= TABLE_LIMIT:
-            self._build_full_tables()
+            # row a of each table is read from the lists above
+            add_t, mul_t = list(range(q)), [0] * q
+            for la in nonzero_logs:
+                add_t.append(exp[la])
+                add_t += [exp[la + z] if (z := zech[lb - la]) >= 0 else 0
+                          for lb in nonzero_logs]
+                mul_t.append(0)
+                mul_t += [exp[la + lb] for lb in nonzero_logs]
+            self.add_t, self.mul_t = add_t, mul_t
         else:
             self.add_t = self.mul_t = None
 
-    # -- raw polynomial arithmetic on encodings (used to bootstrap tables) --
-
-    def _neg_digits(self, a: int) -> int:
-        p = self.p
-        s, mult = 0, 1
-        while a:
-            s += ((p - a % p) % p) * mult
-            a //= p
-            mult *= p
-        return s
-
-    def _add_digits(self, a: int, b: int) -> int:
-        p = self.p
-        s, mult = 0, 1
-        while a or b:
-            s += ((a + b) % p) * mult
-            a //= p
-            b //= p
-            mult *= p
-        return s
+    # -- raw polynomial arithmetic on encodings (used to build exp/log) --
 
     def _mul_poly(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
@@ -227,12 +237,11 @@ class FieldSpec:
     def _build_exp_log(self):
         q = self.q
         fac = _prime_factors(q - 1)
-        gen = None
-        for g in range(2, q):
-            if all(self._pow_poly(g, (q - 1) // f) != 1 for f in fac):
-                gen = g
+        # from 1, so that GF(2) gets g = 1
+        for gen in range(1, q):
+            if all(self._pow_poly(gen, (q - 1) // f) != 1 for f in fac):
                 break
-        if gen is None:
+        else:
             raise AssertionError("multiplicative group has no generator; bad modulus?")
         exp = [0] * (2 * (q - 1))
         log = [0] * q
@@ -245,34 +254,20 @@ class FieldSpec:
         self._exp = exp
         self._log = log
 
-    def _build_full_tables(self):
-        q, p, k = self.q, self.p, self.k
-        add_t = [0] * (q * q)
-        mul_t = [0] * (q * q)
-        exp, log = self._exp, self._log
-        for a in range(q):
-            base = a * q
-            for b in range(q):
-                if k == 1:
-                    add_t[base + b] = (a + b) % p
-                    mul_t[base + b] = a * b % p
-                else:
-                    add_t[base + b] = a ^ b if p == 2 else self._add_digits(a, b)
-                    if a and b:
-                        mul_t[base + b] = exp[log[a] + log[b]]
-        self.add_t = add_t
-        self.mul_t = mul_t
-
     # -- element operations --
 
     def add(self, a: int, b: int) -> int:
         if self.add_t is not None:
             return self.add_t[a * self.q + b]
-        if self.k == 1:
-            return (a + b) % self.p
-        if self.p == 2:
-            return a ^ b
-        return self._add_digits(a, b)
+        if a == 0:
+            return b
+        if b == 0:
+            return a
+        # a + b = g^la (1 + g^(lb - la)); a negative index wraps mod q - 1
+        log = self._log
+        la = log[a]
+        z = self._zech[log[b] - la]
+        return self._exp[la + z] if z >= 0 else 0
 
     def neg(self, a: int) -> int:
         return self.neg_t[a]
@@ -280,8 +275,6 @@ class FieldSpec:
     def mul(self, a: int, b: int) -> int:
         if self.mul_t is not None:
             return self.mul_t[a * self.q + b]
-        if self.k == 1:
-            return a * b % self.p
         if a == 0 or b == 0:
             return 0
         return self._exp[self._log[a] + self._log[b]]
@@ -316,8 +309,10 @@ def _field_cached(p: int, k: int, modulus) -> FieldSpec:
 
 def field_make(p: int, k: int = 1, modulus=None) -> FieldSpec:
     """Validated GF(p^k).  ``modulus`` is a low-degree-first coefficient list."""
+    # the key must hold ints: 1.0 == 1 and hashes alike, so a float
+    # coefficient would otherwise hit a field cached for the int one
     if modulus is not None:
-        modulus = tuple(int(c) for c in modulus)
+        modulus = _coefficients(modulus)
     return _field_cached(p, k, modulus)
 
 

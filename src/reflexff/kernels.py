@@ -2,7 +2,8 @@
 
 ``row_reduce`` is the one entry point.  Fields up to ``TABLE_LIMIT``
 (q <= 256) carry full q*q add/mul tables and reduce through table lookups;
-larger fields reduce through the field's per-call arithmetic.  Both paths
+larger fields reduce through the field's per-call arithmetic (exp/log
+tables with Zech logarithms).  Both paths
 make identical pivot choices in the same order, so they produce identical
 reduced row echelon forms.
 """

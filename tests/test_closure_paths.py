@@ -101,7 +101,7 @@ def _nonreflexive_pair(f, rng):
     return opspace_make(f, 2, 2, [p_mat @ m @ q_mat for m in (ident, e12)])
 
 
-@pytest.mark.parametrize("q", [256, 257, 512])
+@pytest.mark.parametrize("q", [256, 257, 512, 729])
 def test_large_fields_match_reference(q):
     f = field_from_order(q)
     rng = random.Random(q)

@@ -43,6 +43,20 @@ def test_nonprime_characteristic_rejected():
             field_make(bad)
 
 
+def test_non_integer_modulus_coefficients_rejected():
+    from reflexff.field import FieldSpec
+
+    for bad in (1.9, "1", None):
+        for make in (field_make, FieldSpec):
+            with pytest.raises(ValueError, match=f"coefficient {bad!r} is not an integer"):
+                make(2, 2, [bad, 1, 1])
+    # 1.0 == 1 hashes alike, yet it does not reach a field cached for 1
+    f = field_make(2, 2, [1, 1, 1])
+    with pytest.raises(ValueError, match="coefficient 1.0 is not an integer"):
+        field_make(2, 2, [1.0, 1, 1])
+    assert field_make(2, 2, (1, 1, 1)) is f
+
+
 def test_modulus_on_prime_field_rejected():
     with pytest.raises(ValueError):
         field_make(5, 1, [1, 1])
@@ -123,13 +137,15 @@ def test_field_axioms_sampled(p, k):
         assert f.mul(a, f.add(b, c)) == f.add(f.mul(a, b), f.mul(a, c))
 
 
-def test_large_field_without_full_tables():
-    f = field_make(2, 10)  # q = 1024 > table limit
+@pytest.mark.parametrize("p,k", [(2, 10), (3, 6), (257, 1)])
+def test_large_field_without_full_tables(p, k):
+    f = field_make(p, k)  # q > table limit
+    q = f.q
     assert f.add_t is None and f.mul_t is None
     assert f.mul(2, f.inv(2)) == 1
     rng = random.Random(5)
     for _ in range(2000):
-        a, b, c = rng.randrange(1024), rng.randrange(1024), rng.randrange(1024)
+        a, b, c = rng.randrange(q), rng.randrange(q), rng.randrange(q)
         assert f.mul(a, f.add(b, c)) == f.add(f.mul(a, b), f.mul(a, c))
 
 
@@ -194,3 +210,78 @@ def test_element_encoding_is_base_p_digits():
     assert f.add(3, 2) == 5
     # constant terms add as GF(3) scalars
     assert f.add(1, 2) == 0
+
+
+# -- the encoding contract against an independent oracle: base-p digits
+# added digit by digit, and a schoolbook product reduced by the modulus;
+# nothing below calls FieldSpec arithmetic
+
+
+def _oracle_digits(e, p, k):
+    return [e // p**i % p for i in range(k)]
+
+
+def _oracle_encode(digits, p):
+    return sum(d * p**i for i, d in enumerate(digits))
+
+
+def _oracle_add(f, a, b):
+    da, db = _oracle_digits(a, f.p, f.k), _oracle_digits(b, f.p, f.k)
+    return _oracle_encode([(x + y) % f.p for x, y in zip(da, db)], f.p)
+
+
+def _oracle_neg(f, a):
+    return _oracle_encode([-x % f.p for x in _oracle_digits(a, f.p, f.k)], f.p)
+
+
+def _oracle_mul(f, a, b):
+    p, k = f.p, f.k
+    prod = [0] * (2 * k - 1)
+    for i, x in enumerate(_oracle_digits(a, p, k)):
+        for j, y in enumerate(_oracle_digits(b, p, k)):
+            prod[i + j] += x * y
+    # x^k = -(m_0 + ... + m_(k-1) x^(k-1)) for the monic modulus m
+    for deg in range(2 * k - 2, k - 1, -1):
+        c, prod[deg] = prod[deg], 0
+        for j in range(k):
+            prod[deg - k + j] -= c * f.modulus[j]
+    return _oracle_encode([c % p for c in prod[:k]], p)
+
+
+def _prime_powers(limit):
+    for q in range(2, limit + 1):
+        p = next(d for d in range(2, q + 1) if q % d == 0)
+        k = 0
+        while p**(k + 1) <= q and q % p**(k + 1) == 0:
+            k += 1
+        if p**k == q:
+            yield p, k
+
+
+@pytest.mark.parametrize("p,k,modulus", [
+    *((p, k, None) for p, k in _prime_powers(64)),
+    (3, 2, (2, 1, 1)), (2, 4, (1, 1, 1, 1, 1)),
+])
+def test_tables_match_the_digit_oracle(p, k, modulus):
+    f = field_make(p, k, modulus)
+    q = f.q
+    for a in range(q):
+        assert f.neg_t[a] == _oracle_neg(f, a)
+        row = [_oracle_mul(f, a, b) for b in range(q)]
+        assert f.mul_t[a * q:(a + 1) * q] == row
+        assert f.add_t[a * q:(a + 1) * q] == [_oracle_add(f, a, b) for b in range(q)]
+        if a:
+            assert f.inv_t[a] == row.index(1)
+
+
+@pytest.mark.parametrize("q", [243, 256, 257, 512, 729, 65521])
+def test_sampled_arithmetic_matches_the_digit_oracle(q):
+    f = field_from_order(q)
+    rng = random.Random(q)
+    for _ in range(500):
+        a, b = rng.randrange(q), rng.randrange(q)
+        assert f.add(a, b) == _oracle_add(f, a, b)
+        assert f.mul(a, b) == _oracle_mul(f, a, b)
+        assert f.neg(a) == _oracle_neg(f, a)
+        if a:
+            assert _oracle_mul(f, a, f.inv(a)) == 1
