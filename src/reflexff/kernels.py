@@ -2,10 +2,9 @@
 
 ``row_reduce`` is the one entry point.  Fields up to ``TABLE_LIMIT``
 (q <= 256) carry full q*q add/mul tables and reduce through table lookups;
-larger fields reduce through the field's per-call arithmetic (exp/log
-tables with Zech logarithms).  Both paths
-make identical pivot choices in the same order, so they produce identical
-reduced row echelon forms.
+larger fields reduce on the field's exp/log tables with Zech logarithms,
+read in the loop.  Both paths make identical pivot choices in the same
+order, so they produce identical reduced row echelon forms.
 """
 
 BACKEND = "python"
@@ -66,8 +65,12 @@ def _row_reduce_tables(a, rows, cols, q, add_t, mul_t, neg_t, inv_t):
 
 
 def _row_reduce_obj(a, rows, cols, field):
-    """Table-free variant for fields too large for full q*q tables."""
-    add, mul, neg_t, inv_t = field.add, field.mul, field.neg_t, field.inv_t
+    """Table-free variant for fields too large for full q*q tables.
+
+    Works on logarithms: a nonzero v is g^log[v], products add logs, and
+    w + g^m = g^(lw + zech[m - lw]) with lw = log[w] (see field.py)."""
+    exp, log, zech, neg_t = field._exp, field._log, field._zech, field.neg_t
+    order = field.q - 1
     pivots = []
     r = 0
     for c in range(cols):
@@ -85,23 +88,35 @@ def _row_reduce_obj(a, rows, cols, field):
             ib = pr * cols
             for j in range(c, cols):
                 a[rb + j], a[ib + j] = a[ib + j], a[rb + j]
-        piv = a[rb + c]
-        if piv != 1:
-            pinv = inv_t[piv]
-            for j in range(c, cols):
-                if a[rb + j]:
-                    a[rb + j] = mul(a[rb + j], pinv)
+        # scale the pivot row by 1/piv, keeping (column, log) of its nonzeros
+        linv = order - log[a[rb + c]]
+        nz = []
+        for j in range(c, cols):
+            v = a[rb + j]
+            if v:
+                lv = log[v] + linv
+                if lv >= order:
+                    lv -= order
+                a[rb + j] = exp[lv]
+                nz.append((j, lv))
         for i in range(rows):
             if i == r:
                 continue
-            f = a[i * cols + c]
+            ib = i * cols
+            f = a[ib + c]
             if f:
-                ib = i * cols
-                nf = neg_t[f]
-                for j in range(c, cols):
-                    v = a[rb + j]
-                    if v:
-                        a[ib + j] = add(a[ib + j], mul(nf, v))
+                lnf = log[neg_t[f]]
+                for j, lv in nz:
+                    m = lnf + lv
+                    if m >= order:
+                        m -= order
+                    w = a[ib + j]
+                    if w:
+                        lw = log[w]
+                        z = zech[m - lw]
+                        a[ib + j] = exp[lw + z] if z >= 0 else 0
+                    else:
+                        a[ib + j] = exp[m]
         pivots.append(c)
         r += 1
     return pivots

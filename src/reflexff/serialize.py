@@ -11,11 +11,21 @@ fragment must be a JSON integer (a float, bool or string raises
 ValueError).  Report quantities that can outgrow 53-bit consumers are
 serialized as decimal strings.  Emitted JSON is canonical: sorted keys,
 two-space indent, trailing newline.
+
+``dumps`` gives text identical to ``json.dumps(obj, sort_keys=True,
+indent=2)`` plus a newline.  The stdlib's indenting encoder is its pure
+Python one, so ``dumps`` encodes the types reports emit itself: dicts with
+``str`` keys, lists, tuples, ``str``, ``int`` of exact type, ``True``,
+``False`` and ``None``.  Any other value (a float, a bool or int subclass,
+a non-``str`` key, any other type) or a ``RecursionError`` (deep nesting
+or a circular reference) hands the whole object to the stdlib call, so
+its output and its exceptions are the stdlib's.
 """
 
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring_ascii as _encode_str
 
 from .field import FieldSpec, field_make
 from .matrix import Matrix
@@ -57,7 +67,11 @@ def matrix_from_json(d: dict, field: FieldSpec) -> Matrix:
     body = d["entries"]
     if len(body) != rows or any(len(r) != cols for r in body):
         raise ValueError("entries do not match the declared shape")
-    flat = [_int(e, "entry") for r in body for e in r]
+    flat = [e for r in body for e in r]
+    # inline, not one _int call per entry; Matrix checks the range
+    for e in flat:
+        if type(e) is not int:
+            _int(e, "entry")
     return Matrix(field, rows, cols, flat)
 
 
@@ -79,9 +93,79 @@ def space_from_json(d: dict) -> OperatorSpace:
     return OperatorSpace(f, dim_u, dim_v, basis)
 
 
+_encode_int = int.__repr__
+_CONSTANTS = {True: "true", False: "false", None: "null"}
+
+
+def _encode(o, pad: str, out: list) -> None:
+    """Append the pieces of ``o``'s indented text to ``out``; ``pad`` is a
+    newline and the indent of the line ``o`` starts on.  TypeError for any
+    value outside the types listed in the module docstring."""
+    t = type(o)
+    if t is dict:
+        if not o:
+            out.append("{}")
+            return
+        inner = pad + "  "
+        comma = "," + inner
+        sep = "{" + inner
+        for k in sorted(o):
+            if type(k) is not str:
+                raise TypeError
+            v = o[k]
+            tv = type(v)
+            # scalar values are written with their key, without a call
+            if tv is int:
+                out.append(f"{sep}{_encode_str(k)}: {_encode_int(v)}")
+            elif tv is str:
+                out.append(f"{sep}{_encode_str(k)}: {_encode_str(v)}")
+            elif v is None or tv is bool:
+                out.append(f"{sep}{_encode_str(k)}: {_CONSTANTS[v]}")
+            else:
+                out.append(f"{sep}{_encode_str(k)}: ")
+                _encode(v, inner, out)
+            sep = comma
+        out.append(pad + "}")
+        return
+    if t is list or t is tuple:
+        if not o:
+            out.append("[]")
+            return
+        inner = pad + "  "
+        comma = "," + inner
+        for v in o:
+            if type(v) is not int:
+                break
+        else:
+            # all plain ints (matrix entries, witnesses): one join
+            out.append("[" + inner + comma.join(map(_encode_int, o)) + pad + "]")
+            return
+        sep = "[" + inner
+        for v in o:
+            out.append(sep)
+            _encode(v, inner, out)
+            sep = comma
+        out.append(pad + "]")
+        return
+    if t is str:
+        out.append(_encode_str(o))
+    elif t is int:
+        out.append(_encode_int(o))
+    elif o is None or t is bool:
+        out.append(_CONSTANTS[o])
+    else:
+        raise TypeError
+
+
 def dumps(obj) -> str:
     """Canonical JSON text; byte-identical for equal values."""
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    out = []
+    try:
+        _encode(obj, "\n", out)
+    except (TypeError, RecursionError):
+        return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    out.append("\n")
+    return "".join(out)
 
 
 def load_json(path: str):

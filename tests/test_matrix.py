@@ -154,9 +154,11 @@ def test_entry_validation():
         Matrix(gf2, 1, 2, (0, 2))
     with pytest.raises(ValueError):
         Matrix(gf2, 2, 2, (0, 1, 1))
+    # a bool is an int here; only a JSON fragment rejects it
+    assert Matrix(gf2, 1, 2, (True, False)).entries == (1, 0)
 
 
-@pytest.mark.parametrize("bad", [-1, 3, 1.5])
+@pytest.mark.parametrize("bad", [-1, 3, 1.5, "1", None])
 def test_vector_entries_are_checked_like_matrix_entries(bad):
     gf3 = FIELDS[3]
     m = Matrix(gf3, 2, 2, (1, 2, 0, 1))
@@ -166,6 +168,22 @@ def test_vector_entries_are_checked_like_matrix_entries(bad):
         m.apply((1, bad))
     with pytest.raises(ValueError, match=message):
         Matrix(gf3, 1, 2, (1, bad))
+
+
+@pytest.mark.parametrize("entries, bad", [
+    ((1, 4, 2, 7), 4),
+    ((1, 2.5, 0, -1), 2.5),
+    ((0, 1, -3, "x"), -3),
+])
+def test_bad_entries_name_the_first_one(entries, bad):
+    gf3 = FIELDS[3]
+    message = f"entry {bad!r} outside [0, 3)"
+    with pytest.raises(ValueError) as exc:
+        Matrix(gf3, 2, 2, entries)
+    assert str(exc.value) == message
+    with pytest.raises(ValueError) as exc:
+        Matrix(gf3, 1, 4, (1, 2, 0, 1)).apply(entries)
+    assert str(exc.value) == message
 
 
 def test_projective_representatives():

@@ -1,3 +1,4 @@
+import os
 import random
 
 import pytest
@@ -16,11 +17,12 @@ from reflexff import (
     field_make,
     find_extremal,
     gaussian_binomial,
+    load_space,
     random_verify,
     rref_rows,
 )
 from reflexff import search
-from oracles import span_set
+from oracles import brute_rank, duality_closure_set, space_element_set, span_set
 
 GF2 = field_make(2)
 GF3 = field_make(3)
@@ -398,6 +400,49 @@ def test_find_extremal_n1_empty():
     report = find_extremal(SearchParams(field=GF2, dim_u=2, dim_v=2, n=1))
     assert report.extremal["max_mrk"] is None
     assert report.extremal["witnesses"] == []
+
+
+TIGHT = os.path.join(os.path.dirname(__file__), "fixtures", "tight-gf2-4x4-n3.json")
+
+
+def test_tight_witness_attains_2n_minus_2():
+    # a non-reflexive GF(2) 4x4 space with n = 3 and mrk = 4 = 2n - 2, found
+    # by a seeded hill-climb; at n = 2 the bound 2n - 2 equals n, so only a
+    # witness with n >= 3 tells the two apart
+    space = load_space(TIGHT)
+    n = space.n
+    assert n == 3
+    report = analyze(space)
+    assert (report.reflexive, report.mrk) == (False, 2 * n - 2)
+
+    rows = space.canonical_basis()
+    acc = search._Acc()
+    params = SearchParams(field=GF2, dim_u=4, dim_v=4, n=n, guard=10**13)
+    search._scan_one(acc, params, rows, True)
+    assert (acc.nonreflexive, acc.hist, acc.violations) == (1, {4: 1}, [])
+
+    # members and closure again, with no row reduction
+    members = [e for e in space_element_set(space) if any(e)]
+    assert len(members) == 7
+    assert {brute_rank(Matrix(GF2, 4, 4, e)) for e in members} == {4}
+    assert len(duality_closure_set(space)) > 2**n
+
+
+def test_tight_witness_is_labelled_2n_minus_2(monkeypatch):
+    space = load_space(TIGHT)
+    rows = space.canonical_basis()
+
+    def scan_the_witness(params, ambient, extremal):
+        acc = search._Acc()
+        search._scan_one(acc, params, rows, extremal)
+        return acc
+
+    monkeypatch.setattr(search, "_run_exhaustive", scan_the_witness)
+    report = find_extremal(
+        SearchParams(field=GF2, dim_u=4, dim_v=4, n=3, guard=10**13))
+    assert report.violations == []
+    assert report.extremal["max_mrk"] == 4
+    assert report.extremal["equals"] == ["2n-2"]
 
 
 def test_2n_minus_3_status_applicability():

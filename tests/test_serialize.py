@@ -1,7 +1,13 @@
+import enum
+import glob
 import json
+import math
+import os
 from dataclasses import fields
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from reflexff import (
     Matrix,
@@ -75,6 +81,111 @@ def test_dumps_is_canonical():
     assert a == b
     assert a.endswith("\n")
     assert json.loads(a) == {"a": [2, 3], "b": 1}
+
+
+def _stdlib(obj):
+    """The stdlib's canonical text for ``obj``, or its exception as (type, message)."""
+    try:
+        return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def _ours(obj):
+    try:
+        return dumps(obj)
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+# quotes, backslashes, control characters, non-ASCII text, a lone surrogate
+_text = st.text(st.sampled_from(
+    'az "\\/\n\r\t\b\f\x00\x1f\x7f\u00e9\u20ac\u2028\ud800\U0001f600'),
+    max_size=6)
+_scalars = (st.none() | st.booleans() | st.integers()
+            | st.integers(-2**80, 2**80) | st.sampled_from([2**64, -2**64 - 1, 10**30])
+            | _text)
+_trees = st.recursive(
+    _scalars,
+    lambda kids: (st.lists(kids, max_size=5) | st.lists(kids, max_size=5).map(tuple)
+                  | st.dictionaries(_text, kids, max_size=5)),
+    max_leaves=20)
+
+
+@settings(max_examples=150)
+@given(_trees)
+def test_dumps_matches_the_stdlib_encoder(tree):
+    assert dumps(tree) == json.dumps(tree, sort_keys=True, indent=2) + "\n"
+
+
+class _Level(enum.IntEnum):
+    LOW = 1
+
+
+def _circular():
+    a = [1, 2]
+    a.append({"again": a})
+    return a
+
+
+@pytest.mark.parametrize("obj, raises", [
+    (1.5, None),
+    ({"x": [0, float("nan")], "y": math.inf, "z": -math.inf}, None),
+    ([1.0, {"a": 2.5}], None),
+    ({1: "a", 10: "b", 2: "c"}, None),
+    ({"outer": {3: 0, 1: 0}}, None),
+    ({1: 0, "a": 0}, TypeError),
+    ({True: 1, False: 0}, None),
+    ({"level": _Level.LOW, "levels": [_Level.LOW, 2]}, None),
+    ({"obj": object()}, TypeError),
+    ([1, {"a": {1, 2}}], TypeError),
+    (_circular(), ValueError),
+])
+def test_dumps_falls_back_to_the_stdlib(obj, raises):
+    expected = _stdlib(obj)
+    assert (expected[0] if isinstance(expected, tuple) else None) is raises
+    assert _ours(obj) == expected
+
+
+EXPECTED = os.path.join(os.path.dirname(__file__), "..", "perfbench", "expected")
+
+
+def test_dumps_reencodes_the_pinned_search_reports():
+    paths = sorted(glob.glob(os.path.join(EXPECTED, "exhaustive-*.json")))
+    assert paths
+    for path in paths:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+        assert dumps(json.loads(text)) == text
+
+
+# (entries of the second basis matrix, over GF(3), the parent's exact message):
+# the JSON path checks every entry's type before any range
+BAD_ENTRIES = [
+    ([[0, 1], [1, 1.5]], "entry must be a JSON integer, got 1.5"),
+    ([[0, 1], [True, 0]], "entry must be a JSON integer, got True"),
+    ([[0, "1"], [1, 0]], "entry must be a JSON integer, got '1'"),
+    ([[0, 1], [None, 0]], "entry must be a JSON integer, got None"),
+    ([[0, -1], [1, 0]], "entry -1 outside [0, 3)"),
+    ([[0, 1], [3, 0]], "entry 3 outside [0, 3)"),
+    ([[1, 5], [7, -2]], "entry 5 outside [0, 3)"),
+    ([[5, 1.5], ["x", 0]], "entry must be a JSON integer, got 1.5"),
+]
+
+
+@pytest.mark.parametrize("entries, message", BAD_ENTRIES)
+def test_bad_entries_keep_their_messages(entries, message):
+    gf3 = field_make(3)
+    bad = {"rows": 2, "cols": 2, "entries": entries}
+    with pytest.raises(ValueError) as exc:
+        matrix_from_json(bad, gf3)
+    assert str(exc.value) == message
+    good = {"rows": 2, "cols": 2, "entries": [[1, 2], [0, 1]]}
+    space = {"field": {"p": 3, "k": 1}, "dim_u": 2, "dim_v": 2,
+             "basis": [good, bad]}
+    with pytest.raises(ValueError) as exc:
+        space_from_json(space)
+    assert str(exc.value) == message
 
 
 @pytest.mark.parametrize("value", [1.7, 1.0, True, False, "1", None])
