@@ -27,7 +27,6 @@ from __future__ import annotations
 import operator
 import sys
 from dataclasses import dataclass, field as dc_field
-from fractions import Fraction
 
 from . import kernels
 from .errors import GuardExceeded, MembershipError
@@ -169,7 +168,9 @@ class Check:
         def enc(v):
             if v is None:
                 return None
-            if isinstance(v, Fraction):
+            # fractions is imported on first use; no Fraction exists before
+            fractions = sys.modules.get("fractions")
+            if fractions and isinstance(v, fractions.Fraction):
                 return f"{v.numerator}/{v.denominator}"
             return str(v)
 
@@ -321,6 +322,8 @@ def proof_trace(q: int, p: int, n: int, profile: dict) -> TraceReport:
     # Claim 3: with a unique minimum-rank member and the claim-2 gap,
     # coverage forces q^(p-r) (q^r - 1) <= (q^n - 1)(q^(p-2n+1+r) - 1).
     if regime and n >= 2 and 1 <= r <= n - 1 and mult == 1 and gap:
+        from fractions import Fraction  # imported here, off the start-up path
+
         qf = Fraction(q)
         checks += [
             Check("claim3", "<=", q**(p - r) * (q**r - 1),

@@ -16,12 +16,24 @@ generator g give exp/log tables, and the rest is read from them.  Since
 -1 = g^h (h = (q - 1)/2 for odd p, 0 for p = 2), -a = g^(log a + h);
 a^-1 = g^(q - 1 - log a); and with the Zech logarithm
 zech[d] = log(1 + g^d), a + b = g^(log a + zech[log b - log a]).
+
+Set-up is a few lookups per element.  The exp table is stepped by
+multiplying by g with lookups on the integer encoding: one multiply mod p
+for GF(p); for p = 2 the XOR of two 256-entry tables, g times each byte;
+for odd p with k > 1 one q-entry "times g" table, built with bytes.translate
+(see _times_table).  Only the generator search and the k columns g * x^j
+multiply digit lists.  Negatives, inverses and the Zech table are C-level
+gathers (map over list.__getitem__) from exp and log.  For q <= 256 every
+element fits in a byte, so each row of the q*q add/mul tables is one or two
+bytes.translate calls of the log bytes.
 """
 
 from __future__ import annotations
 
 import functools
 import operator
+import sys
+from array import array
 
 # Up to this order a field also keeps full q*q add/mul tables, their rows
 # read from its exp/log/Zech lists; they feed the table path of the
@@ -57,6 +69,33 @@ def _undigits(digits, p: int) -> int:
     for d in reversed(digits):
         e = e * p + d
     return e
+
+
+def _times_table(p: int, k: int, columns) -> list[int]:
+    """[g * a for a in range(p**k)], p odd, where columns[j] holds the
+    digits of g * x^j.
+
+    Digit i of g * a is sum_j a_j columns[j][i] mod p, built one digit of a
+    at a time as bytes: the values for a < p^(j+1) are those for a < p^j,
+    shifted by d * columns[j][i] for each digit d.  The k digit strings are
+    then summed with weights p^i in 16-bit lanes of one integer.
+    """
+    q = p**k
+    twice = bytes(range(p)) * 2
+    plus = [twice[s:s + p] + bytes(256 - p) for s in range(p)]  # v -> v + s mod p
+    total = 0
+    for i in range(k):
+        digit = b"\0"
+        for j in range(k):
+            c = columns[j][i]
+            digit = b"".join([digit.translate(plus[d * c % p]) for d in range(p)])
+        lanes = bytearray(2 * q)
+        lanes[0::2] = digit
+        total += int.from_bytes(lanes, "little") * p**i
+    table = array("H", total.to_bytes(2 * q, "little"))
+    if sys.byteorder == "big":
+        table.byteswap()
+    return table.tolist()
 
 
 def _poly_divides(divisor, poly, p: int) -> bool:
@@ -177,26 +216,34 @@ class FieldSpec:
         exp, log = self._exp, self._log
         nonzero_logs = log[1:]
         h = (q - 1) // 2 if p != 2 else 0
-        self.neg_t = [0] + [exp[la + h] for la in nonzero_logs]
-        self.inv_t = [0] + [exp[(q - 1) - la] for la in nonzero_logs]
-        # zech[d] = log(1 + g^d), -1 where 1 + g^d = 0; adding 1 to an
-        # encoding changes only its constant digit
-        zech = []
-        for e in exp[:q - 1]:
-            s = e + 1 if e % p != p - 1 else e - (p - 1)
-            zech.append(log[s] if s else -1)
+        self.neg_t = [0, *map(exp[h:].__getitem__, nonzero_logs)]
+        self.inv_t = [0, *map(exp[q - 1:0:-1].__getitem__, nonzero_logs)]
+        # adding 1 to an encoding changes only its constant digit
+        succ = list(range(1, q + 1))
+        succ[p - 1::p] = range(0, q, p)
+        one_plus = list(map(succ.__getitem__, exp[:q - 1]))
+        # zech[d] = log(1 + g^d), -1 where 1 + g^d = 0, that is at d = h
+        zech = list(map(log.__getitem__, one_plus))
+        zech[h] = -1
         self._zech = zech
 
         if q <= TABLE_LIMIT:
-            # row a of each table is read from the lists above
-            add_t, mul_t = list(range(q)), [0] * q
+            # Elements fit in a byte, so each row is a bytes.translate of the
+            # log bytes (255 stands for b = 0): mul row a maps log b to
+            # exp[log a + log b]; add row a is a (1 + b/a), the row of
+            # 1 + g^(log b - log a) mapped through mul row a.
+            logs = bytes([255, *nonzero_logs])
+            exps, ones = bytes(exp), bytes(one_plus) * 2
+            pad = bytes(256 - q)
+            add_rows, mul_rows = [bytes(range(q))], [bytes(q)]
             for la in nonzero_logs:
-                add_t.append(exp[la])
-                add_t += [exp[la + z] if (z := zech[lb - la]) >= 0 else 0
-                          for lb in nonzero_logs]
-                mul_t.append(0)
-                mul_t += [exp[la + lb] for lb in nonzero_logs]
-            self.add_t, self.mul_t = add_t, mul_t
+                mul_row = logs.translate(exps[la:la + q - 1] + pad + b"\0")
+                mul_rows.append(mul_row)
+                add_rows.append(logs.translate(
+                    ones[q - 1 - la:2 * (q - 1) - la] + pad + b"\1"
+                ).translate(mul_row + pad))
+            self.add_t = list(b"".join(add_rows))
+            self.mul_t = list(b"".join(mul_rows))
         else:
             self.add_t = self.mul_t = None
 
@@ -235,22 +282,43 @@ class FieldSpec:
         return r
 
     def _build_exp_log(self):
-        q = self.q
+        p, k, q = self.p, self.k, self.q
+        power = self._pow_poly if k > 1 else (lambda a, e: pow(a, e, p))
         fac = _prime_factors(q - 1)
-        # from 1, so that GF(2) gets g = 1
-        for gen in range(1, q):
-            if all(self._pow_poly(gen, (q - 1) // f) != 1 for f in fac):
+        # from 1, so that GF(2) gets g = 1; for k > 1 from x = p, as the
+        # orders in GF(p)* divide p - 1 < q - 1
+        for gen in range(1 if k == 1 else p, q):
+            if all(power(gen, (q - 1) // f) != 1 for f in fac):
                 break
         else:
             raise AssertionError("multiplicative group has no generator; bad modulus?")
         exp = [0] * (2 * (q - 1))
         log = [0] * q
         x = 1
-        for i in range(q - 1):
-            exp[i] = x
-            exp[i + q - 1] = x
-            log[x] = i
-            x = self._mul_poly(x, gen)
+        # each step multiplies x by gen with lookups on its encoding
+        if k == 1:
+            for i in range(q - 1):
+                exp[i] = x
+                log[x] = i
+                x = x * gen % p
+        elif p == 2:
+            # gen * x is the XOR of gen * (byte j of x) * x^(8j), j = 0, 1
+            lo, hi = [0], [0]
+            for j in range(k):
+                t, c = lo if j < 8 else hi, self._mul_poly(gen, 1 << j)
+                t += [e ^ c for e in t]
+            for i in range(q - 1):
+                exp[i] = x
+                log[x] = i
+                x = lo[x & 255] ^ hi[x >> 8]
+        else:
+            times_gen = _times_table(
+                p, k, [_digits(self._mul_poly(gen, p**j), p, k) for j in range(k)])
+            for i in range(q - 1):
+                exp[i] = x
+                log[x] = i
+                x = times_gen[x]
+        exp[q - 1:] = exp[:q - 1]
         self._exp = exp
         self._log = log
 

@@ -23,7 +23,6 @@ as observational data only.
 from __future__ import annotations
 
 import functools
-import multiprocessing
 import os
 import random
 from dataclasses import dataclass, field as dc_field
@@ -256,6 +255,8 @@ def _run_exhaustive(params: SearchParams, ambient: int,
     if workers <= 1:
         parts = map(scan, patterns)
     else:
+        import multiprocessing  # only a pooled search pays for this import
+
         with multiprocessing.Pool(workers) as pool:
             parts = pool.map(scan, patterns)
     acc = _Acc()

@@ -728,3 +728,33 @@ def test_theorem_violation_dump_failure_goes_to_stderr(tmp_path, monkeypatch):
     assert first.startswith("THEOREM VIOLATION: cannot write")
     assert json.loads(report)["spaces_examined"] == 35
     assert not (tmp_path / "missing").exists()
+
+
+@pytest.mark.parametrize("p,k", [(2, 16), (3, 10)])
+def test_largest_fields_end_to_end(tmp_path, cli_child, p, k):
+    # a fresh process builds all of GF(2^16) or GF(3^10) before it answers
+    path = tmp_path / "s.json"
+    path.write_text(dumps({
+        "field": {"p": p, "k": k}, "dim_u": 1, "dim_v": 2,
+        "basis": [{"rows": 2, "cols": 1, "entries": [[1], [p**k - 1]]}]}))
+    for command in ("analyze", "mrk"):
+        code, out, err = cli_child([command, str(path)])
+        assert code == 0, err
+        d = json.loads(out)
+        assert d["mrk"] == 1
+        assert d["meta"]["field"]["p"] == p and d["meta"]["field"]["k"] == k
+
+
+def test_cli_import_leaves_the_pool_and_fractions_unloaded():
+    # only a search with jobs > 1 imports multiprocessing, and only a trace
+    # that reaches claim 3 imports fractions
+    import subprocess
+
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    code = ("import sys, reflexff.cli; "
+            "print(sorted({'multiprocessing', 'fractions'} & set(sys.modules)))")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=60,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"

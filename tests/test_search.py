@@ -1,3 +1,4 @@
+import multiprocessing
 import os
 import random
 
@@ -198,8 +199,6 @@ def test_benchmark_slice_gf2_counts_and_jobs_invariance():
 
 @pytest.mark.parametrize("jobs", [2, 3])
 def test_spawn_workers_rebuild_the_closure_memo(monkeypatch, jobs):
-    import multiprocessing
-
     import reflexff.search as search
 
     # spawned workers start from a fresh import, so each builds its own
@@ -211,7 +210,7 @@ def test_spawn_workers_rebuild_the_closure_memo(monkeypatch, jobs):
         sizes.append(processes)
         return spawn_pool(processes)
 
-    monkeypatch.setattr(search.multiprocessing, "Pool", pool)
+    monkeypatch.setattr(multiprocessing, "Pool", pool)
     monkeypatch.setattr(search.os, "cpu_count", lambda: 3)
     base = dict(field=GF2, dim_u=2, dim_v=3, n=2)
     serial = exhaustive_verify(SearchParams(jobs=1, **base))
@@ -222,14 +221,12 @@ def test_spawn_workers_rebuild_the_closure_memo(monkeypatch, jobs):
 
 @pytest.mark.parametrize("jobs", [2, 3])
 def test_spawn_workers_walk_ranks_from_an_empty_memo(monkeypatch, jobs):
-    import multiprocessing
-
     import reflexff.search as search
 
     # the exhaustive-gf2 slice: the parent's rank memo is warm, every
     # spawned worker's starts empty; the merged report must not depend on it
     spawn_pool = multiprocessing.get_context("spawn").Pool
-    monkeypatch.setattr(search.multiprocessing, "Pool", spawn_pool)
+    monkeypatch.setattr(multiprocessing, "Pool", spawn_pool)
     monkeypatch.setattr(search.os, "cpu_count", lambda: 3)
     base = dict(field=GF2, dim_u=3, dim_v=2, n=3)
     serial = exhaustive_verify(SearchParams(jobs=1, **base))
@@ -240,8 +237,6 @@ def test_spawn_workers_walk_ranks_from_an_empty_memo(monkeypatch, jobs):
 
 @pytest.mark.parametrize("method", ["fork", "spawn"])
 def test_find_extremal_merges_witnesses_across_workers(monkeypatch, method):
-    import multiprocessing
-
     # all 48 mrk-2 spaces of the exhaustive-gf2 slice lie in its first
     # pivot pattern; the 182 of GF(2), dim_u=2, dim_v=3, n=2 lie in six.
     # Their merged list must follow the enumeration whatever the split.
@@ -252,7 +247,7 @@ def test_find_extremal_merges_witnesses_across_workers(monkeypatch, method):
         sizes.append(processes)
         return context_pool(processes)
 
-    monkeypatch.setattr(search.multiprocessing, "Pool", pool)
+    monkeypatch.setattr(multiprocessing, "Pool", pool)
     monkeypatch.setattr(search.os, "cpu_count", lambda: 3)
     for dim_u, dim_v, n, count in ((3, 2, 3, 48), (2, 3, 2, 182)):
         base = dict(field=GF2, dim_u=dim_u, dim_v=dim_v, n=n)
@@ -295,7 +290,7 @@ def test_exhaustive_pool_is_capped(monkeypatch):
         def map(self, fn, items):
             return [fn(item) for item in items]
 
-    monkeypatch.setattr(search.multiprocessing, "Pool", RecordingPool)
+    monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
     monkeypatch.setattr(search.os, "cpu_count", lambda: 4)
     serial = exhaustive_verify(
         SearchParams(field=GF2, dim_u=2, dim_v=2, n=2)).to_dict()
