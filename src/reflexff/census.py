@@ -207,8 +207,11 @@ class CensusReport:
 
 
 def census_report(coset: Coset) -> CensusReport:
-    """The census of T = g + S.  Its ``nprime_floor`` verdict is expected to
-    be ``skipped``: no real coset has yet been seen to take the shape it needs."""
+    """The census of T = g + S.  Its ``nprime_floor`` verdict needs the chain
+    shape, and can be evaluated only when p >= 2n: at p = 2n - 1 that shape
+    caps #N at q^n + q^(2n-1) - q^(n-1), below the coverage floor
+    q^n + q^p - 1 for n >= 2.  It is expected to be ``skipped``: no real
+    coset has yet been seen to take the shape."""
     q, p, n = coset.q, coset.p, coset.n
     walk = list(_walk(coset))
     profile, r, m, mult, (h0_coeffs, h0, _) = _profile(walk, n)
@@ -310,14 +313,11 @@ def proof_trace(q: int, p: int, n: int, profile: dict) -> TraceReport:
               Check("coverage", "<=", floor, n_exact)]
 
     # Claim 2: two members whose ranks sum to 2n-2 or less would differ by
-    # a nonzero member of S of rank at most 2n-2.
-    ranks_sorted = sorted(profile)
-    second = r if mult >= 2 else (ranks_sorted[1] if len(ranks_sorted) > 1 else None)
-    if second is None:
-        checks.append(Check("claim2", ">", reason="coset has a single member"))
-    else:
-        checks.append(Check("claim2", ">", r + second, 2 * n - 2))
-    gap = checks[-1].holds is not False
+    # a nonzero member of S of rank at most 2n-2.  The counts sum to q^n >= 2,
+    # so the least rank repeats or a second rank exists.
+    second = r if mult >= 2 else sorted(profile)[1]
+    checks.append(Check("claim2", ">", r + second, 2 * n - 2))
+    gap = checks[-1].holds
 
     # Claim 3: with a unique minimum-rank member and the claim-2 gap,
     # coverage forces q^(p-r) (q^r - 1) <= (q^n - 1)(q^(p-2n+1+r) - 1).

@@ -30,7 +30,6 @@ bytes.translate calls of the log bytes.
 
 from __future__ import annotations
 
-import functools
 import operator
 import sys
 from array import array
@@ -250,8 +249,6 @@ class FieldSpec:
     # -- raw polynomial arithmetic on encodings (used to build exp/log) --
 
     def _mul_poly(self, a: int, b: int) -> int:
-        if a == 0 or b == 0:
-            return 0
         p, k = self.p, self.k
         da = _digits(a, p, k)
         db = _digits(b, p, k)
@@ -370,9 +367,9 @@ class FieldSpec:
         return (field_make, (self.p, self.k, self.modulus))
 
 
-@functools.lru_cache(maxsize=None)
-def _field_cached(p: int, k: int, modulus) -> FieldSpec:
-    return FieldSpec(p, k, modulus)
+# every field made, under the modulus asked for and the one it has, so that
+# a pickled field (reduced with its modulus) comes back as the cached object
+_FIELDS: dict = {}
 
 
 def field_make(p: int, k: int = 1, modulus=None) -> FieldSpec:
@@ -381,7 +378,11 @@ def field_make(p: int, k: int = 1, modulus=None) -> FieldSpec:
     # coefficient would otherwise hit a field cached for the int one
     if modulus is not None:
         modulus = _coefficients(modulus)
-    return _field_cached(p, k, modulus)
+    f = _FIELDS.get((p, k, modulus))
+    if f is None:
+        f = FieldSpec(p, k, modulus)
+        f = _FIELDS[p, k, modulus] = _FIELDS.setdefault((p, k, f.modulus), f)
+    return f
 
 
 def field_from_order(q: int) -> FieldSpec:

@@ -1,4 +1,5 @@
 import hashlib
+import math
 import random
 from collections import Counter
 from fractions import Fraction
@@ -302,6 +303,35 @@ def test_trace_finds_every_nprime_floor_shape_contradictory():
         assert rep.regime_met and rep.contradiction, (q, p, n, profile)
 
 
+def _compositions(total, parts):
+    if parts == 1:
+        yield (total,)
+        return
+    for first in range(total + 1):
+        for rest in _compositions(total - first, parts - 1):
+            yield (first, *rest)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+@pytest.mark.parametrize("n", [2, 3])
+def test_chain_shape_at_p_2n_minus_1_fails_coverage(q, n):
+    # one member of rank n - 1 and q^n - 1 of ranks n .. p: #N is at most
+    # q^n + q^(2n-1) - q^(n-1), below the floor q^n + q^p - 1, so the
+    # nprime_floor verdict can be evaluated only when p >= 2n
+    p = 2 * n - 1
+    count = 0
+    for counts in _compositions(q**n - 1, p - n + 1):
+        profile = {n - 1: 1, **{n + i: c for i, c in enumerate(counts) if c}}
+        assert census._chain_shape(p, n, profile)
+        rep = proof_trace(q, p, n, profile)
+        coverage = next(c for c in rep.checks if c.name == "coverage")
+        assert coverage.holds is False, profile
+        assert rep.incidence_exact <= q**n + q**p - q**(n - 1)
+        assert rep.contradiction_via == "coverage"
+        count += 1
+    assert count == math.comb(q**n - 1 + p - n, p - n)
+
+
 def test_coset_walks_stop_at_the_search_guard(monkeypatch):
     # span{I, E12} over GF(3) and g = E11: a coset of 9 members
     s = OperatorSpace(GF3, 2, 2, [Matrix.identity(GF3, 2),
@@ -350,6 +380,9 @@ def test_trace_validation():
         proof_trace(2, 3, 2, {2: -4, 1: 8})
     with pytest.raises(ValueError):
         proof_trace(1, 3, 2, {2: 1})
+    for p, n in ((0, 1), (-1, 1), (3, 0), (3, -2), (3.0, 1), (3, 1.0)):
+        with pytest.raises(ValueError, match="p and n must be integers >= 1"):
+            proof_trace(2, p, n, {0: 2})
 
 
 def test_trace_is_exact_for_big_values():

@@ -81,6 +81,39 @@ def test_malformed_input_exit_2(tmp_path):
     assert code == 2
 
 
+def test_mrk_of_the_zero_space(tmp_path):
+    path = tmp_path / "zero.json"
+    path.write_text(dumps({"field": {"p": 3, "k": 1}, "dim_u": 2, "dim_v": 2,
+                           "basis": []}))
+    code, out, _ = run_cli(["mrk", str(path)])
+    assert code == 0
+    d = json.loads(out)
+    assert d.pop("meta")["command"] == "mrk"
+    assert d == {"mrk": None, "witness": None}
+
+
+@pytest.mark.parametrize("space,message", [
+    ([], "space file must hold a JSON object"),
+    ({"field": [2, 1], "dim_u": 2, "dim_v": 2, "basis": []},
+     "field fragment must be an object"),
+    ({"field": {"p": 2}, "dim_u": 2, "dim_v": 2, "basis": [[[1, 0], [0, 1]]]},
+     "matrix fragment must be an object"),
+], ids=["space", "field", "matrix"])
+def test_non_object_fragment_exit_2(tmp_path, space, message):
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(space))
+    for command in ("analyze", "mrk", "closure"):
+        code, out, err = run_cli([command, str(path)])
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_census_non_object_g_exit_2(space_file, tmp_path):
+    gpath = tmp_path / "g.json"
+    gpath.write_text("[[1, 0], [0, 0]]")
+    code, out, err = run_cli(["census", space_file, str(gpath)])
+    assert (code, out, err) == (2, "", "error: matrix fragment must be an object\n")
+
+
 def test_dependent_basis_exit_3(tmp_path):
     path = tmp_path / "dep.json"
     ident = {"rows": 2, "cols": 2, "entries": [[1, 0], [0, 1]]}
@@ -193,6 +226,13 @@ def test_trace_repeated_rank_exit_2():
                               "--profile", "1:2,1:2"])
     assert code == 2 and out == ""
     assert err.startswith("error: rank 1 appears twice") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("profile", [",", " , ,", ""])
+def test_trace_empty_profile_exit_2(profile):
+    code, out, err = run_cli(["trace", "--q", "2", "--p", "3", "--n", "1",
+                              "--profile", profile])
+    assert (code, out, err) == (2, "", "error: empty profile\n")
 
 
 @pytest.mark.parametrize("profile, message", [

@@ -58,6 +58,14 @@ def test_non_integer_modulus_coefficients_rejected():
     assert field_make(2, 2, (1, 1, 1)) is f
 
 
+def test_degree_and_coefficient_range_rejected():
+    with pytest.raises(ValueError, match="extension degree must be >= 1, got 0"):
+        field_make(2, 0)
+    for bad in ([3, 0, 1], [-1, 0, 1], [1, 5, 1]):
+        with pytest.raises(ValueError, match=r"coefficients must lie in \[0, 3\)"):
+            field_make(3, 2, bad)
+
+
 def test_modulus_on_prime_field_rejected():
     with pytest.raises(ValueError):
         field_make(5, 1, [1, 1])
@@ -158,6 +166,9 @@ def test_field_from_order():
         field_from_order(6)
     with pytest.raises(ValueError):
         field_from_order(12)
+    for bad in (1, 0, -4, 2.0):
+        with pytest.raises(ValueError, match="field order must be an integer >= 2"):
+            field_from_order(bad)
 
 
 def test_field_from_order_splits_like_brute_force(monkeypatch):
@@ -188,6 +199,15 @@ def test_field_value_semantics_and_pickle():
     assert f == g
     assert hash(f) == hash(g)
     assert g.mul(3, 3) == f.mul(3, 3)
+
+
+@pytest.mark.parametrize("p,k,modulus", [
+    (2, 1, None), (3, 2, None), (3, 2, (2, 1, 1)), (257, 1, None), (2, 16, None)])
+def test_field_pickle_returns_the_cached_field(p, k, modulus):
+    import pickle
+
+    f = field_make(p, k, modulus)
+    assert pickle.loads(pickle.dumps(f)) is f
 
 
 def test_field_hash_is_cached_and_agrees_with_equality():

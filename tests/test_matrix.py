@@ -199,3 +199,16 @@ def test_projective_representatives():
         for lam in range(1, 4):
             seen.add(tuple(f.mul(lam, c) for c in rep))
     assert len(seen) == 4**2 - 1
+
+
+@pytest.mark.parametrize("field", [field_make(3), field_make(2, 3, (1, 0, 1, 1)),
+                                   field_make(257)], ids=repr)
+def test_matrix_pickle_round_trip(field):
+    import pickle
+
+    rng = random.Random(field.q)
+    m = Matrix(field, 2, 3, [rng.randrange(field.q) for _ in range(6)])
+    copy = pickle.loads(pickle.dumps(m))
+    assert copy == m and hash(copy) == hash(m)
+    assert copy.field is field
+    assert copy.entries == m.entries

@@ -336,3 +336,23 @@ def test_space_equality_is_span_equality():
     s2 = opspace_make(GF2, 2, 2, [im, m])
     assert s1 == s2
     assert hash(s1) == hash(s2)
+
+
+@pytest.mark.parametrize("space", [
+    span_im(),
+    span_e11_e12(),
+    opspace_make(field_make(2, 2), 2, 2, [Matrix(field_make(2, 2), 2, 2, (1, 2, 0, 3))]),
+    opspace_make(field_make(257), 2, 2, [Matrix(field_make(257), 2, 2, (1, 0, 0, 1)),
+                                         Matrix(field_make(257), 2, 2, (0, 1, 0, 0))]),
+], ids=["gf2-span-im", "gf2-e11-e12", "gf4-n1", "gf257-n2"])
+def test_space_pickle_round_trip(space):
+    import pickle
+
+    copy = pickle.loads(pickle.dumps(space))
+    assert copy == space and hash(copy) == hash(space)
+    assert copy.field is space.field
+    assert copy.basis == space.basis
+    assert copy.canonical_basis() == space.canonical_basis()
+    closure = space.reflexive_closure()
+    assert copy.reflexive_closure() == closure
+    assert copy.reflexive_closure().canonical_basis() == closure.canonical_basis()
