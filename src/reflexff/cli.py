@@ -5,7 +5,8 @@ Exit codes are a stable contract:
   with --dim-u, --dim-v, --jobs or --guard below 1, a trace profile that
   repeats a rank, a malformed --profile entry, a trace p whose report numbers
   could pass Python's default limit on printed digits, a field order above
-  2^16 and a JSON file nested too deep), 3 dependent basis, 4 census
+  2^16 and a JSON file nested too deep) or a report that cannot be written
+  (an unwritable --output, a closed stdout), 3 dependent basis, 4 census
   membership failure, 5 guard exceeded by an exhaustive search slice or the
   closure walk of an n = 0 slice's zero space, a census coset, the point or
   member walk of each random search sample, or that of a single space
@@ -67,6 +68,8 @@ def _emit(args, payload: dict, pretty_lines=None) -> int:
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text)
+    elif sys.stdout is None:  # the process started with fd 1 closed
+        raise OSError("cannot write the report: standard output is closed")
     else:
         sys.stdout.write(text)
     return 0

@@ -9,6 +9,12 @@ identical for any worker count; the patterns are uneven (the largest holds
 The random mode samples seeded uniform bases, runs serially and is
 reproducible from (seed, sample count).
 
+A pattern's bases are one lazy ``itertools.product`` over the choices of
+its k x ambient entries (1 at a row's pivot, every value at a non-pivot
+column right of it, 0 elsewhere), cut into row tuples by one
+``operator.itemgetter``; ``enumerate_subspaces`` yields the same bases in
+the same order, pattern by pattern, free entries in lexicographic order.
+
 Candidates stay flat RREF entry tuples throughout the scan: the closure
 test and the rank walk of ``opspace`` read them directly, and only the
 ``deep_checks`` witness path builds an ``OperatorSpace``.
@@ -27,6 +33,7 @@ import os
 import random
 from dataclasses import dataclass, field as dc_field
 from itertools import combinations, product
+from operator import itemgetter
 
 from .errors import GuardExceeded, TheoremViolation
 from .field import FieldSpec, field_make
@@ -52,27 +59,24 @@ def gaussian_binomial(m: int, k: int, q: int) -> int:
     return num // den
 
 
-def _pattern_free_positions(pivots, ambient):
-    pivset = set(pivots)
-    return [(i, j)
-            for i in range(len(pivots))
-            for j in range(pivots[i] + 1, ambient)
-            if j not in pivset]
-
-
 def _pattern_subspaces(q, ambient, pivots):
     """All RREF bases with the given pivot columns, free entries in
-    lexicographic order."""
+    lexicographic row-major order, as tuples of row tuples."""
     k = len(pivots)
-    free = _pattern_free_positions(pivots, ambient)
-    template = [[0] * ambient for _ in range(k)]
-    for i, pc in enumerate(pivots):
-        template[i][pc] = 1
-    for assignment in product(range(q), repeat=len(free)):
-        rows = [list(r) for r in template]
-        for (i, j), val in zip(free, assignment):
-            rows[i][j] = val
-        yield tuple(tuple(r) for r in rows)
+    if k == 0:
+        return iter(((),))
+    # product copies each argument that is not a tuple: the free entries
+    # share one tuple of values.  Star-arguments come from lists: CPython
+    # grows a tuple from a generator outside its tuple free list but frees
+    # it onto that list, which then fills to 2,000 spare tuples per length.
+    pivset, free = set(pivots), tuple(range(q))
+    bases = product(*[(1,) if j == pc else
+                      free if j > pc and j not in pivset else (0,)
+                      for pc in pivots for j in range(ambient)])
+    if k == 1:
+        return zip(bases)
+    return map(itemgetter(*[slice(i, i + ambient)
+                            for i in range(0, k * ambient, ambient)]), bases)
 
 
 def _count_subspaces(m: int, k: int, q: int, guard: int) -> int:
@@ -159,7 +163,6 @@ def _wit(basis):
 
 @dataclass
 class _Acc:
-    examined: int = 0
     reflexive: int = 0
     nonreflexive: int = 0
     hist: dict = dc_field(default_factory=dict)
@@ -170,7 +173,6 @@ class _Acc:
     bad_2n3: tuple | None = None
 
     def merge(self, other: "_Acc"):
-        self.examined += other.examined
         self.reflexive += other.reflexive
         self.nonreflexive += other.nonreflexive
         for k, v in other.hist.items():
@@ -207,7 +209,6 @@ def _scan_one(acc: _Acc, params: SearchParams, rows: tuple,
     canonical RREF basis as flat row-major entry tuples."""
     field, dim_u, dim_v = params.field, params.dim_u, params.dim_v
     n = len(rows)
-    acc.examined += 1
     _, piv = closure_system(field, dim_u, dim_v, rows)
     if len(piv) == dim_u * dim_v - n:
         acc.reflexive += 1
@@ -335,7 +336,7 @@ def _search(params: SearchParams, mode: str, extremal: bool) -> SearchReport:
         seed=params.seed if sampled else None,
         rng=RNG_NAME if sampled else None,
         guard=guard,
-        spaces_examined=acc.examined,
+        spaces_examined=acc.reflexive + acc.nonreflexive,
         reflexive_count=acc.reflexive,
         nonreflexive_count=acc.nonreflexive,
         mrk_histogram=acc.hist,

@@ -46,13 +46,30 @@ def _int(v, what: str) -> int:
     return v
 
 
+def _key(d: dict, key: str, what: str):
+    """``d[key]``, or a ValueError that names the missing key."""
+    try:
+        return d[key]
+    except KeyError:
+        raise ValueError(f"{what} is missing the key {key!r}") from None
+
+
+def _array(v, what: str):
+    """``v`` when it is a JSON array."""
+    if not isinstance(v, (list, tuple)):
+        raise ValueError(f"{what} must be a JSON array")
+    return v
+
+
 def field_from_json(d: dict) -> FieldSpec:
     if not isinstance(d, dict):
         raise ValueError("field fragment must be an object")
     modulus = d.get("modulus")
     if modulus is not None:
-        modulus = [_int(c, "modulus coefficient") for c in modulus]
-    return field_make(_int(d["p"], "p"), _int(d.get("k", 1), "k"), modulus)
+        modulus = [_int(c, "modulus coefficient")
+                   for c in _array(modulus, "modulus")]
+    return field_make(_int(_key(d, "p", "field fragment"), "p"),
+                      _int(d.get("k", 1), "k"), modulus)
 
 
 def matrix_to_json(m: Matrix) -> dict:
@@ -63,9 +80,11 @@ def matrix_to_json(m: Matrix) -> dict:
 def matrix_from_json(d: dict, field: FieldSpec) -> Matrix:
     if not isinstance(d, dict):
         raise ValueError("matrix fragment must be an object")
-    rows, cols = _int(d["rows"], "rows"), _int(d["cols"], "cols")
-    body = d["entries"]
-    if len(body) != rows or any(len(r) != cols for r in body):
+    rows = _int(_key(d, "rows", "matrix fragment"), "rows")
+    cols = _int(_key(d, "cols", "matrix fragment"), "cols")
+    body = _array(_key(d, "entries", "matrix fragment"), "entries")
+    if len(body) != rows or any(len(_array(r, "entries row")) != cols
+                                for r in body):
         raise ValueError("entries do not match the declared shape")
     flat = [e for r in body for e in r]
     # inline, not one _int call per entry; Matrix checks the range
@@ -87,9 +106,11 @@ def space_to_json(s: OperatorSpace) -> dict:
 def space_from_json(d: dict) -> OperatorSpace:
     if not isinstance(d, dict):
         raise ValueError("space file must hold a JSON object")
-    f = field_from_json(d["field"])
-    dim_u, dim_v = _int(d["dim_u"], "dim_u"), _int(d["dim_v"], "dim_v")
-    basis = [matrix_from_json(m, f) for m in d["basis"]]
+    f = field_from_json(_key(d, "field", "space file"))
+    dim_u = _int(_key(d, "dim_u", "space file"), "dim_u")
+    dim_v = _int(_key(d, "dim_v", "space file"), "dim_v")
+    basis = [matrix_from_json(m, f)
+             for m in _array(_key(d, "basis", "space file"), "basis")]
     return OperatorSpace(f, dim_u, dim_v, basis)
 
 

@@ -1,5 +1,7 @@
 """The closure and rank-scan algorithms that the scan-native routines of
-``reflexff.opspace`` replaced, kept as a differential reference.
+``reflexff.opspace`` replaced, and the template enumeration that
+``reflexff.search._pattern_subspaces`` replaced, kept as a differential
+reference.
 
 The closure here takes S(x) point by point through ``eval_space``, solves
 one ``mat_kernel`` per point for its annihilator, stacks every condition
@@ -8,6 +10,8 @@ scan builds a ``Matrix`` for every projective member and ranks it with
 ``mat_rank``.  Both use row reduction, so unlike ``oracles`` they are a
 second implementation, not an independent one.
 """
+
+from itertools import product
 
 from reflexff import (
     Matrix,
@@ -62,3 +66,21 @@ def reference_rank_scan(space):
         if best is None or r < best:
             best, witness = r, coeffs
     return dist, best, witness
+
+
+def reference_pattern_subspaces(q, ambient, pivots):
+    """All RREF bases with the given pivot columns, free entries in
+    lexicographic row-major order: a template with 1 at each pivot, copied
+    for each assignment of the free entries and patched in place."""
+    k = len(pivots)
+    pivset = set(pivots)
+    free = [(i, j) for i in range(k) for j in range(pivots[i] + 1, ambient)
+            if j not in pivset]
+    template = [[0] * ambient for _ in range(k)]
+    for i, pc in enumerate(pivots):
+        template[i][pc] = 1
+    for assignment in product(range(q), repeat=len(free)):
+        rows = [list(r) for r in template]
+        for (i, j), val in zip(free, assignment):
+            rows[i][j] = val
+        yield tuple(tuple(r) for r in rows)

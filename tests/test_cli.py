@@ -114,6 +114,51 @@ def test_census_non_object_g_exit_2(space_file, tmp_path):
     assert (code, out, err) == (2, "", "error: matrix fragment must be an object\n")
 
 
+@pytest.mark.parametrize("space, message", [
+    ({"field": {"p": 2}, "dim_u": 2, "basis": []},
+     "space file is missing the key 'dim_v'"),
+    ({"field": {"p": 2}, "dim_u": 2, "dim_v": 2,
+      "basis": [{"rows": 2, "entries": [[1, 0], [0, 1]]}]},
+     "matrix fragment is missing the key 'cols'"),
+    ({"field": {"p": 2}, "dim_u": 2, "dim_v": 2,
+      "basis": [{"rows": 2, "cols": 2, "entries": 5}]},
+     "entries must be a JSON array"),
+    ({"field": {"p": 2, "k": 2, "modulus": 3}, "dim_u": 2, "dim_v": 2,
+      "basis": []},
+     "modulus must be a JSON array"),
+], ids=["dim_v", "cols", "entries", "modulus"])
+def test_malformed_file_message_names_the_field(tmp_path, space, message):
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(space))
+    code, out, err = run_cli(["analyze", str(path)])
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("request_args, message", [
+    (["census", "{space}", "{g}"],
+     "witness shape or field disagrees with the space"),
+    (["census", "{space}", "{ragged}"], "entries do not match the declared shape"),
+    (["search", "--q", "2", "--dim-u", "2", "--dim-v", "2", "--n", "1",
+      "--mode", "random", "--samples", "0"], "random mode needs samples >= 1"),
+    (["construct", "regular-rep", "--p", "2", "--n", "0"], "n must be >= 1"),
+], ids=["census-g-shape", "ragged-entries", "random-no-samples", "construct-n0"])
+def test_rejected_input_exit_2(space_file, tmp_path, request_args, message):
+    g = tmp_path / "g.json"
+    g.write_text(dumps({"rows": 3, "cols": 2,
+                        "entries": [[1, 0], [0, 0], [0, 0]]}))
+    ragged = tmp_path / "ragged.json"
+    ragged.write_text(dumps({"rows": 2, "cols": 2, "entries": [[1, 0], [0]]}))
+    argv = [a.format(space=space_file, g=g, ragged=ragged) for a in request_args]
+    code, out, err = run_cli(argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_closed_stdout_exit_2(space_file, cli_child):
+    code, out, err = cli_child(["analyze", space_file], stdout_closed=True)
+    assert (code, out) == (2, "")
+    assert err == "error: cannot write the report: standard output is closed\n"
+
+
 def test_dependent_basis_exit_3(tmp_path):
     path = tmp_path / "dep.json"
     ident = {"rows": 2, "cols": 2, "entries": [[1, 0], [0, 1]]}

@@ -1,6 +1,7 @@
 import multiprocessing
 import os
 import random
+from itertools import combinations
 
 import pytest
 
@@ -24,6 +25,7 @@ from reflexff import (
 )
 from reflexff import search
 from oracles import brute_rank, duality_closure_set, space_element_set, span_set
+from reference import reference_pattern_subspaces
 
 GF2 = field_make(2)
 GF3 = field_make(3)
@@ -89,6 +91,34 @@ def test_enumerate_matches_brute_span_dedup():
                 spans.add(rows)
     enumerated = set(enumerate_subspaces(2, 4, 2))
     assert enumerated == spans
+
+
+_ENUMERATION_GRID = ([(2, a) for a in range(7)] + [(3, a) for a in range(6)]
+                     + [(q, a) for q in (4, 5) for a in range(5)])
+
+
+@pytest.mark.parametrize("q, ambient, k", [
+    *((q, a, k) for q, a in _ENUMERATION_GRID for k in range(a + 1)),
+    (3, 6, 2)])
+def test_pattern_subspaces_match_the_template_reference(q, ambient, k):
+    # same bases, same order, same types, pattern by pattern
+    for pivots in combinations(range(ambient), k):
+        got = list(search._pattern_subspaces(q, ambient, pivots))
+        want = list(reference_pattern_subspaces(q, ambient, pivots))
+        assert got == want
+        assert all(type(rows) is tuple and len(rows) == k
+                   and all(type(r) is tuple and len(r) == ambient
+                           and all(type(e) is int for e in r) for r in rows)
+                   for rows in got)
+
+
+def test_enumeration_yields_before_walking_its_pattern(python_child):
+    # the first of [64, 2]_2 bases comes at once: nothing is materialised
+    code, _, err = python_child(
+        "from reflexff import enumerate_subspaces\n"
+        "rows = next(enumerate_subspaces(2, 64, 2))\n"
+        "assert rows == ((1,) + (0,) * 63, (0, 1) + (0,) * 62)\n")
+    assert code == 0, err
 
 
 def test_enumerate_guard():
