@@ -9,10 +9,13 @@ Exit codes are a stable contract:
   (an unwritable --output, a closed stdout), 3 dependent basis, 4 census
   membership failure, 5 guard exceeded by an exhaustive search slice or the
   closure walk of an n = 0 slice's zero space, a census coset, the point or
-  member walk of each random search sample, or that of a single space
-  (analyze, closure, mrk), 10 rank-bound violation.
+  member walk of each random search sample, the n*dim_u*dim_v entries each
+  random search sample draws (bounded by REFLEXFF_GUARD or 10^7, whatever
+  --guard says), or the walks of a single space (analyze, closure, mrk),
+  10 rank-bound violation.
 Reports go to stdout as pure JSON, or to --output; --pretty renders analyze,
-census, trace and search as a table instead.  Diagnostics go to stderr.
+census, trace and search as a table instead.  Diagnostics go to stderr, and
+nowhere when the process started with fd 2 closed.
 """
 
 from __future__ import annotations
@@ -291,6 +294,14 @@ def build_parser() -> argparse.ArgumentParser:
 _PARSER = None  # built on main's first call, then kept for the process
 
 
+def _diagnose(text: str) -> None:
+    """Write ``text`` to stderr; nothing when the process started with fd 2
+    closed (``sys.stderr`` is None), where print would fall back to stdout
+    and mix the diagnostic into the report stream."""
+    if sys.stderr is not None:
+        sys.stderr.write(text)
+
+
 def main(argv=None) -> int:
     """Run one CLI request; callable repeatedly in one process."""
     global _PARSER
@@ -301,13 +312,13 @@ def main(argv=None) -> int:
         return args.func(args)
     except MembershipError as e:
         which = "g in S" if e.which == "in_space" else "g not in R(S)"
-        print(f"error: {which}", file=sys.stderr)
+        _diagnose(f"error: {which}\n")
         return 4
     except DependentBasisError as e:
-        print(f"error: {e}", file=sys.stderr)
+        _diagnose(f"error: {e}\n")
         return 3
     except GuardExceeded as e:
-        print(f"error: {e}", file=sys.stderr)
+        _diagnose(f"error: {e}\n")
         return 5
     except TheoremViolation as e:
         text = dumps(e.report.to_dict())
@@ -316,15 +327,13 @@ def main(argv=None) -> int:
                 fh.write(text)
         except OSError as err:
             # the report is the only evidence of the breach: never lose it
-            print(f"THEOREM VIOLATION: cannot write {VIOLATION_DUMP} ({err}); "
-                  "report follows", file=sys.stderr)
-            sys.stderr.write(text)
+            _diagnose(f"THEOREM VIOLATION: cannot write {VIOLATION_DUMP} ({err}); "
+                      f"report follows\n{text}")
         else:
-            print(f"THEOREM VIOLATION: report dumped to {VIOLATION_DUMP}",
-                  file=sys.stderr)
+            _diagnose(f"THEOREM VIOLATION: report dumped to {VIOLATION_DUMP}\n")
         return 10
     except (ValueError, TypeError, KeyError, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
+        _diagnose(f"error: {e}\n")
         return 2
 
 

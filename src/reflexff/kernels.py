@@ -1,14 +1,18 @@
-"""Gauss-Jordan row reduction over GF(q), in pure Python.
+"""Elimination over GF(q), in pure Python: two routines.
 
-``row_reduce`` is the one entry point and holds the one elimination loop:
-the pivot search, the row swap and the pivot list are written once.  At
-each pivot the row is scaled and its column cleared in one of two ways.
-Fields up to ``TABLE_LIMIT`` (q <= 256) carry full q*q add/mul tables and
-use table lookups; larger fields work on the field's exp/log lists with
-Zech logarithms: a nonzero v is g^log[v], products add logs, and
-w + g^m = g^(lw + zech[m - lw]) with lw = log[w] (see field.py).  The
-pivot choices do not depend on the arithmetic, so both produce identical
-reduced row echelon forms.
+``row_reduce`` holds the one Gauss-Jordan loop: the pivot search, the row
+swap and the pivot list are written once, and it returns the reduced row
+echelon form.  ``echelon_insert`` adds rows to a forward echelon, a dict
+from lead column to a kept row with lead entry 1, and never reduces the
+rows it keeps; the closure scan builds its condition system this way and
+needs only its rank, which is the echelon's size.
+
+Both scale and clear in one of two ways.  Fields up to ``TABLE_LIMIT``
+(q <= 256) carry full q*q add/mul tables and use table lookups; larger
+fields work on the field's exp/log lists with Zech logarithms: a nonzero v
+is g^log[v], products add logs, and w + g^m = g^(lw + zech[m - lw]) with
+lw = log[w] (see field.py).  The pivot choices do not depend on the
+arithmetic, so both produce identical output.
 """
 
 BACKEND = "python"
@@ -92,3 +96,73 @@ def row_reduce(entries, rows, cols, field):
         pivots.append(c)
         r += 1
     return a, tuple(pivots)
+
+
+def echelon_insert(kept, rows, stop, field):
+    """Insert (lead, row) pairs into the forward echelon ``kept``; returns
+    its size.
+
+    ``kept`` maps a lead column to a row whose entries before it are 0 and
+    whose entry there is 1; each of ``rows`` has that form too, and no row
+    is ever changed in place.  A row is reduced only against the kept row
+    with its current lead, and again at each new lead; a nonzero remainder
+    is kept under its lead, scaled to 1, and a zero one is dropped.  Kept
+    rows are never touched again, so the echelon is not reduced: its rank
+    is its size.  The insertion stops once ``kept`` holds ``stop`` rows.
+    """
+    neg_t, mul_t = field.neg_t, field.mul_t
+    if mul_t is not None:
+        q, add_t, inv_t = field.q, field.add_t, field.inv_t
+    else:
+        exp, log, zech = field._exp, field._log, field._zech
+        order = field.q - 1
+    for lead, row in rows:
+        k = kept.get(lead)
+        if k is not None:
+            width = len(row)
+            row = list(row)
+            while k is not None:
+                # row -= row[lead] * k, from the column after the lead on
+                f = row[lead]
+                row[lead] = 0
+                if mul_t is not None:
+                    nf = neg_t[f] * q
+                    for j in range(lead + 1, width):
+                        v = k[j]
+                        if v:
+                            row[j] = add_t[row[j] * q + mul_t[nf + v]]
+                else:
+                    lnf = log[neg_t[f]]
+                    for j in range(lead + 1, width):
+                        v = k[j]
+                        if v:
+                            m = lnf + log[v]
+                            if m >= order:
+                                m -= order
+                            w = row[j]
+                            if w:
+                                lw = log[w]
+                                z = zech[m - lw]
+                                row[j] = exp[lw + z] if z >= 0 else 0
+                            else:
+                                row[j] = exp[m]
+                for lead in range(lead + 1, width):
+                    if row[lead]:
+                        break
+                else:
+                    break
+                k = kept.get(lead)
+            if k is not None:
+                continue  # the remainder is zero
+            piv = row[lead]
+            if piv != 1:
+                if mul_t is not None:
+                    inv = inv_t[piv]
+                    row = [mul_t[v * q + inv] for v in row]
+                else:
+                    linv = order - log[piv]
+                    row = [exp[log[v] + linv] if v else 0 for v in row]
+        kept[lead] = row
+        if len(kept) == stop:
+            break
+    return len(kept)

@@ -86,7 +86,8 @@ class _Memo(dict):
 
 # (field, dim_u, dim_v) -> (points, the points as the rows of a Matrix, row
 # values, a condition _Memo per point); filled lazily by ``closure_system``.
-# An entry depends only on its key; an image tuple's length tells n.
+# A condition entry maps an image tuple to its point's (lead, row) pairs
+# and counts the values of both; an image tuple's length tells n.
 _closure_memos: dict = {}
 
 # (field, dim_u, dim_v) -> _Memo {member's entry tuple: rank}; filled lazily
@@ -114,53 +115,59 @@ def _closure_memo(field, dim_u, dim_v):
 
 def _conditions(field, x, img, ipiv, v):
     """The rows c x^T, flattened, for the annihilators c of the span of
-    the reduced images (``img``, ``ipiv``) in GF(q)^v."""
-    mul = field.mul
+    the reduced images (``img``, ``ipiv``) in GF(q)^v, as (lead, row)
+    pairs: each row scaled so that its first nonzero entry, at column
+    lead, is 1.  x is projective, so its first nonzero entry is 1."""
+    mul, inv_t = field.mul, field.inv_t
+    p = len(x)
+    j0 = x.index(1)
+    zero = [0] * p
     cond = []
     for c in null_basis(field, img, ipiv, v):
+        i0 = next(i for i, ci in enumerate(c) if ci)
+        s = inv_t[c[i0]]
+        row = []
         for ci in c:
-            if ci == 1:
-                cond.extend(x)
-            elif ci:
-                cond.extend([mul(ci, xj) for xj in x])
+            if ci:
+                ci = mul(ci, s)
+                row.extend(x if ci == 1 else [mul(ci, xj) for xj in x])
             else:
-                cond.extend([0] * len(x))
+                row.extend(zero)
+        cond.append((i0 * p + j0, tuple(row)))
     return tuple(cond)
 
 
-def _reduced(ent, rows, width, field):
-    """The running system in RREF, its zero rows dropped."""
-    ent, piv = kernels.row_reduce(ent, rows, width, field)
-    del ent[len(piv) * width:]
-    return ent, piv
-
-
 def closure_system(field, dim_u, dim_v, flats):
-    """The conditions that cut R(S) out of all dim_v x dim_u matrices.
+    """The conditions that cut R(S) out of all dim_v x dim_u matrices, as
+    a forward echelon: a dict from lead column to a kept row (a tuple or
+    list) whose entries before that column are 0 and whose entry there
+    is 1.  R(S) is the echelon's null space, and its rank is its size.
 
     S is the span of the independent flat row-major entry tuples
     ``flats``.  For each projective x, in lexicographic order, the images
     f_k(x) are reduced and every annihilator c of S(x) gives the condition
-    c . g(x) = 0 on the unknown g, whose row is c x^T flattened.  All rows
-    go into one running RREF system.  S lies in R(S), so once the rank reaches
-    dim_u*dim_v - n the system already forces R(S) = S and the scan stops.
-    The system is reduced only when it holds enough rows to reach that
-    rank, which leaves the stopping point unchanged.  Returns the system as
-    ``kernels.row_reduce`` gives it: (entries of its nonzero rows,
-    pivots); R(S) is its null space.
+    c . g(x) = 0 on the unknown g, whose row is c x^T flattened.  Each row
+    is inserted into the echelon (``kernels.echelon_insert``), which never
+    reduces the rows it keeps.  S lies in R(S), so once the rank reaches
+    dim_u*dim_v - n the system already forces R(S) = S and the scan stops,
+    possibly partway through a point's rows.  The echelon is not reduced:
+    a caller that needs R(S) as a null space reduces it once
+    (``OperatorSpace.reflexive_closure``).
 
     The conditions at x depend only on x and the image tuple, so a shape
     may keep each basis-map row's values at every point and each (point,
-    image tuple)'s conditions in a per-process memo (``_closure_memo``);
-    a candidate then costs one lookup per point.  n = 0 keeps none.
+    image tuple)'s condition rows in a per-process memo
+    (``_closure_memo``); a candidate then costs one lookup per point.
+    n = 0 keeps none.
     """
     p, v = dim_u, dim_v
     width = p * v
     n = len(flats)
     target = width - n
-    ent, rows = [], 0
+    kept = {}
     if not target:
-        return ent, ()
+        return kept
+    insert = kernels.echelon_insert
     memo = _closure_memo(field, p, v) if n else None
     if memo is not None:
         points, at_points, values, known = memo
@@ -173,22 +180,14 @@ def closure_system(field, dim_u, dim_v, flats):
                     vals = values[r] = at_points.apply(r)
                 cols.append(vals)
         for x, seen, images in zip(points, known, zip(*cols)):
-            step = seen.get(images)
-            if step is None:
+            cond = seen.get(images)
+            if cond is None:
                 img, ipiv = kernels.row_reduce(images, n, v, field)
-                cond = _conditions(field, x, img, ipiv, v)
-                step = seen.keep(images, (cond, v - len(ipiv)),
-                                 len(images) + len(cond))
-            cond, count = step
-            if count:
-                ent.extend(cond)
-                rows += count
-                if rows >= target:
-                    ent, piv = _reduced(ent, rows, width, field)
-                    rows = len(piv)
-                    if rows == target:
-                        return ent, piv
-        return _reduced(ent, rows, width, field)
+                cond = seen.keep(images, _conditions(field, x, img, ipiv, v),
+                                 len(images) + (v - len(ipiv)) * width)
+            if cond and insert(kept, cond, target, field) == target:
+                break
+        return kept
     # No memo: the same steps, computed afresh at each point.
     add, mul = field.add, field.mul
     # the nonzero (column, entry) pairs of each row of each basis map
@@ -205,17 +204,10 @@ def closure_system(field, dim_u, dim_v, flats):
                     s = add(s, t) if s else t
             images.append(s)
         img, ipiv = kernels.row_reduce(images, n, v, field)
-        count = v - len(ipiv)
-        if not count:
-            continue
-        ent.extend(_conditions(field, x, img, ipiv, v))
-        rows += count
-        if rows >= target:
-            ent, piv = _reduced(ent, rows, width, field)
-            rows = len(piv)
-            if rows == target:
-                return ent, piv
-    return _reduced(ent, rows, width, field)
+        if len(ipiv) < v and insert(
+                kept, _conditions(field, x, img, ipiv, v), target, field) == target:
+            break
+    return kept
 
 
 def rank_walk(field, dim_u, dim_v, flats, coeff_vectors, offset=None):
@@ -358,10 +350,11 @@ class OperatorSpace:
     def reflexive_closure(self) -> "OperatorSpace":
         """R(S): all g with g(x) in S(x) for every x, RREF-canonical basis.
 
-        The conditions come from ``closure_system``: one running RREF
-        system over the projective points, which stops as soon as its rank
-        forces R(S) = S; then S's own canonical basis is returned.
-        Otherwise R(S) is the null space of the system over all points.
+        The conditions come from ``closure_system``: one forward echelon
+        over the projective points, which stops as soon as its rank forces
+        R(S) = S; then S's own canonical basis is returned.  Otherwise the
+        echelon over all points is reduced once, and R(S) is its null
+        space.
         """
         cached = self._cache.get("closure")
         if cached is not None:
@@ -371,10 +364,12 @@ class OperatorSpace:
         p, v = self.dim_u, self.dim_v
         width = p * v
         canon = self._cache["canon"]
-        ent, piv = closure_system(f, p, v, canon)
-        if len(piv) == width - self.n:
+        kept = closure_system(f, p, v, canon)
+        if len(kept) == width - self.n:
             rows = canon
         else:
+            ent, piv = kernels.row_reduce(
+                [e for row in kept.values() for e in row], len(kept), width, f)
             rows, _ = rref_rows(f, null_basis(f, ent, piv, width), width=width)
         closure = OperatorSpace(f, p, v, tuple(Matrix(f, v, p, g) for g in rows))
         self._cache["closure"] = closure

@@ -209,8 +209,7 @@ def _scan_one(acc: _Acc, params: SearchParams, rows: tuple,
     canonical RREF basis as flat row-major entry tuples."""
     field, dim_u, dim_v = params.field, params.dim_u, params.dim_v
     n = len(rows)
-    _, piv = closure_system(field, dim_u, dim_v, rows)
-    if len(piv) == dim_u * dim_v - n:
+    if len(closure_system(field, dim_u, dim_v, rows)) == dim_u * dim_v - n:
         acc.reflexive += 1
         return
     acc.nonreflexive += 1
@@ -287,8 +286,9 @@ def _search(params: SearchParams, mode: str, extremal: bool) -> SearchReport:
     """Validate, bound, run and report the search ``params`` in ``mode``.
 
     A malformed mode, the other mode, a malformed shape, n, job count,
-    guard or sample count raises ValueError, and a slice, its closure walk
-    or a sample walk past the guard raises GuardExceeded, before any scan;
+    guard or sample count raises ValueError, and a slice, its closure walk,
+    a sample walk past the guard or a sample draw past the process guard
+    (``default_guard``) raises GuardExceeded, before any scan;
     a broken rank bound raises TheoremViolation carrying the report."""
     if params.mode not in ("exhaustive", "random"):
         raise ValueError(
@@ -313,6 +313,13 @@ def _search(params: SearchParams, mode: str, extremal: bool) -> SearchReport:
         # each sample walks these points and members, as analyze and mrk do
         _guard_points(f.q, params.dim_u, "closure", guard)
         _guard_points(f.q, n, "rank scan", guard)
+        # and first draws n*ambient entries.  --guard counts walk steps, and
+        # a bound as low as a 2x2 sample's point count must still admit it,
+        # so the process guard bounds the draw
+        limit = default_guard()
+        if n * ambient > limit:
+            raise GuardExceeded(f"random sample of {n} x {ambient} entries "
+                                f"exceeds the guard {limit}")
         population, acc = None, _run_random(params, ambient, extremal)
     else:
         population = _count_subspaces(ambient, n, f.q, guard)

@@ -16,16 +16,19 @@ settings.register_profile("reproducible", derandomize=True, database=None)
 settings.load_profile("reproducible")
 
 
-def _run_child(argv, stdout_closed=False):
+def _run_child(argv, stdout_closed=False, stderr_closed=False):
     """Run ``python *argv`` in a child process capped at 10 s of wall time
     and 1 GiB of address space; returns (exit code, stdout, stderr).  A
     child that hangs fails its test instead of stalling the suite, and one
-    that balloons dies.  With ``stdout_closed`` the child starts with fd 1
-    closed, as a shell's ``>&-`` leaves it."""
+    that balloons dies.  With ``stdout_closed`` (``stderr_closed``) the
+    child starts with fd 1 (fd 2) closed, as a shell's ``>&-`` (``2>&-``)
+    leaves it."""
     def cap():
         resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
         if stdout_closed:
             os.close(1)
+        if stderr_closed:
+            os.close(2)
 
     path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
     try:
@@ -40,8 +43,9 @@ def _run_child(argv, stdout_closed=False):
 @pytest.fixture
 def cli_child():
     """Run one CLI request in a capped child process (``_run_child``)."""
-    def run(args, stdout_closed=False):
-        return _run_child(["-m", "reflexff.cli", *args], stdout_closed)
+    def run(args, stdout_closed=False, stderr_closed=False):
+        return _run_child(["-m", "reflexff.cli", *args], stdout_closed,
+                          stderr_closed)
     return run
 
 

@@ -159,6 +159,13 @@ def test_closed_stdout_exit_2(space_file, cli_child):
     assert err == "error: cannot write the report: standard output is closed\n"
 
 
+def test_closed_stderr_keeps_diagnostics_off_stdout(cli_child):
+    # with fd 2 closed sys.stderr is None, and print(file=None) would put the
+    # error line into the report stream
+    code, out, err = cli_child(["analyze", "/nonexistent.json"], stderr_closed=True)
+    assert (code, out, err) == (2, "", "")
+
+
 def test_dependent_basis_exit_3(tmp_path):
     path = tmp_path / "dep.json"
     ident = {"rows": 2, "cols": 2, "entries": [[1, 0], [0, 1]]}
@@ -421,6 +428,23 @@ def test_random_hyperplane_sample_past_the_guard_exit_5(cli_child):
                                 "--dim-v", "2", "--n", "47", "--mode", "random",
                                 "--samples", "1"])
     assert code == 5 and out == "" and "points exceeds the guard" in err
+
+
+def test_random_draw_past_the_process_guard_exit_5(monkeypatch, cli_child):
+    # one point and one member pass every walk guard, but the sample would
+    # draw 10^8 entries first
+    monkeypatch.setenv("REFLEXFF_GUARD", "1000")
+    code, out, err = cli_child(["search", "--q", "2", "--dim-u", "1",
+                                "--dim-v", "100000000", "--n", "1",
+                                "--mode", "random", "--samples", "1"])
+    assert (code, out) == (5, "")
+    assert err == ("error: random sample of 1 x 100000000 entries exceeds "
+                   "the guard 1000\n")
+    # the bound is on entries: 1000 of them still run
+    code, out, _ = cli_child(["search", "--q", "2", "--dim-u", "1",
+                              "--dim-v", "1000", "--n", "1",
+                              "--mode", "random", "--samples", "1"])
+    assert code == 0 and json.loads(out)["spaces_examined"] == 1
 
 
 @pytest.mark.parametrize("raw", ["abc", "0"])

@@ -25,6 +25,7 @@ from reflexff import (
     rref_rows,
 )
 from reflexff import kernels, opspace
+from reflexff.field import FieldSpec
 from reflexff.matrix import null_basis
 from reflexff.opspace import closure_system
 from reflexff.search import _mrk
@@ -44,9 +45,9 @@ def check_space(space):
     assert space.mrk() == (best, witness)
     rows = space.canonical_basis()
     width = space.dim_u * space.dim_v
-    _, piv = closure_system(space.field, space.dim_u, space.dim_v, rows)
+    kept = closure_system(space.field, space.dim_u, space.dim_v, rows)
     # early exit or not, the system's nullity is the closure dimension
-    assert width - len(piv) == len(want)
+    assert width - len(kept) == len(want)
     assert _mrk(space.field, space.dim_u, space.dim_v, rows) == best
     return len(want), best
 
@@ -135,9 +136,15 @@ def test_duality_oracle(q, shapes):
 def system_closure(space):
     """RREF basis of the null space of ``closure_system``'s rows, taken as
     they are: unlike ``reflexive_closure`` this does not return S itself
-    when the rank reaches the early-exit target."""
+    when the rank reaches the early-exit target.  Checks on the way that
+    the rows form a forward echelon under their lead columns."""
     f, width = space.field, space.dim_u * space.dim_v
-    ent, piv = closure_system(f, space.dim_u, space.dim_v, space.canonical_basis())
+    kept = closure_system(f, space.dim_u, space.dim_v, space.canonical_basis())
+    for lead, row in kept.items():
+        assert len(row) == width and row[lead] == 1 and not any(row[:lead])
+    ent, piv = kernels.row_reduce([e for row in kept.values() for e in row],
+                                  len(kept), width, f)
+    assert len(piv) == len(kept)
     rows, _ = rref_rows(f, null_basis(f, ent, piv, width), width=width)
     return rows
 
@@ -177,6 +184,69 @@ def test_large_fields_store_no_memo(q):
     assert not [key for key in opspace._closure_memos if key[0] == f]
 
 
+def _embedded_pair(f, dim_u, dim_v, rng):
+    """P span{E11 + E22, E12} Q for random invertible P and Q: the pair of
+    ``_nonreflexive_pair`` on the first two coordinates, so at every shape
+    its closure has dimension 3 (the 2x2 upper triangle, moved by P, Q)."""
+    basis = [Matrix(f, dim_v, dim_u, [int((i, j) in cells) for i in range(dim_v)
+                                      for j in range(dim_u)])
+             for cells in ({(0, 0), (1, 1)}, {(0, 1)})]
+    p_mat, q_mat = _invertible(f, dim_v, rng), _invertible(f, dim_u, rng)
+    return opspace_make(f, dim_u, dim_v, [p_mat @ m @ q_mat for m in basis])
+
+
+def check_insertion(space, want):
+    """The echelon closure, read whole and through ``reflexive_closure``,
+    is the reference closure ``want``."""
+    assert system_closure(space) == want
+    assert space.reflexive_closure().canonical_basis() == want
+
+
+@pytest.mark.parametrize("q,dim_u,dim_v,n,count", [
+    (2, 4, 4, 3, 8), (2, 5, 5, 3, 3), (2, 6, 6, 4, 2),
+    (3, 4, 4, 3, 3), (4, 4, 4, 3, 2),
+    (257, 2, 2, 2, 3), (257, 2, 3, 2, 3), (512, 2, 2, 1, 3), (512, 2, 3, 3, 3),
+])
+def test_insertion_matches_reference_on_random_spaces(q, dim_u, dim_v, n, count):
+    # the memo path (q <= 4) and the memo-free, table-free path (GF(257),
+    # GF(512)), on random spaces, reflexive at the larger shapes, and on an
+    # embedded non-reflexive pair, which walks every point
+    f = field_from_order(q)
+    rng = random.Random(1000 * q + 10 * dim_u + dim_v)
+    spaces = [_random_space(f, dim_u, dim_v, n, rng) for _ in range(count)]
+    spaces.append(_embedded_pair(f, dim_u, dim_v, rng))
+    for space in spaces:
+        check_insertion(space, reference_closure_basis(space))
+    assert spaces[-1].reflexive_closure().n == 3
+
+
+@pytest.mark.parametrize("q,shapes", [
+    (4, [(2, 2, 1), (2, 2, 2), (3, 2, 2)]),
+    (9, [(2, 2, 2), (2, 3, 2), (2, 3, 4)]),
+])
+def test_insertion_zech_arm_on_the_memo_path(monkeypatch, q, shapes):
+    # a copy of GF(q) stripped of its q*q tables takes the exp/log/Zech arm
+    # of the insertion on the memo path, with memos built through it; the
+    # reference and the duality oracle run on the tabled field
+    monkeypatch.setattr(opspace, "_closure_memos", {})
+    f = field_from_order(q)
+    bare = FieldSpec(f.p, f.k, f.modulus)
+    bare.add_t = bare.mul_t = None
+    rng = random.Random(77 * q)
+    for dim_u, dim_v, n in shapes:
+        spaces = [_random_space(bare, dim_u, dim_v, n, rng) for _ in range(4)]
+        spaces.append(_embedded_pair(bare, dim_u, dim_v, rng))
+        for space in spaces:
+            tabled = OperatorSpace(f, dim_u, dim_v, [
+                Matrix(f, dim_v, dim_u, m.entries) for m in space.basis])
+            want = reference_closure_basis(tabled)
+            check_insertion(space, want)
+            if q ** (dim_u * dim_v) <= 6561:
+                assert duality_closure_set(tabled) == space_element_set(
+                    space.reflexive_closure())
+    assert {key[1:] for key in opspace._closure_memos} == {s[:2] for s in shapes}
+
+
 def test_memo_stays_within_its_bound_on_the_gf3_slice():
     f = field_from_order(3)
     report = exhaustive_verify(SearchParams(field=f, dim_u=3, dim_v=2, n=2))
@@ -188,7 +258,8 @@ def test_memo_stays_within_its_bound_on_the_gf3_slice():
     # and condition rows against its share of the bound
     share = opspace._MEMO_LIMIT // len(points)
     for seen in known:
-        held = sum(len(images) + len(cond) for images, (cond, _) in seen.items())
+        held = sum(len(images) + sum(len(row) for _, row in cond)
+                   for images, cond in seen.items())
         assert held + seen.room == share
     stored = (sum(len(vals) for vals in values.values())
               + sum(share - seen.room for seen in known))
@@ -320,6 +391,9 @@ def test_warm_rank_memo_reduces_no_member(monkeypatch):
     monkeypatch.undo()
     assert again.to_dict() == warm.to_dict()
     assert shapes[(2, 3)] == 0
+    # nor is the closure's running system ever re-reduced: the whole warm
+    # run reduces nothing
+    assert sum(shapes.values()) == 0
 
 
 @st.composite

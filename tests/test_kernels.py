@@ -1,11 +1,12 @@
 """Kernel equivalence: the table and table-free arithmetic of the one
-elimination loop produce identical output."""
+elimination loop produce identical output, and the echelon insertion keeps
+the rank and row space that the elimination loop finds."""
 
 import random
 
 import pytest
 
-from reflexff import field_from_order, field_make
+from reflexff import field_from_order, field_make, rref_rows
 from reflexff import kernels
 from reflexff.field import FieldSpec
 from reflexff.kernels import BACKEND
@@ -57,3 +58,64 @@ def test_generic_vs_object_path(q, f):
 
 def test_backend_reported():
     assert BACKEND == "python"
+
+
+def _stripped(f):
+    """A fresh copy of ``f`` without its q*q tables, as fields with
+    q > 256 are built."""
+    bare = FieldSpec(f.p, f.k, f.modulus)
+    bare.add_t = bare.mul_t = None
+    return bare
+
+
+def _lead_rows(f, rows):
+    """The nonzero ``rows`` as ``echelon_insert`` takes them: (lead, the row
+    scaled so that its first nonzero entry, at lead, is 1)."""
+    out = []
+    for row in rows:
+        lead = next((j for j, e in enumerate(row) if e), None)
+        if lead is not None:
+            inv = f.inv(row[lead])
+            out.append((lead, tuple(f.mul(inv, e) for e in row)))
+    return out
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 9, 256, 257, 512])
+def test_echelon_insert_rank_matches_row_reduce(q):
+    # row sets of low rank, with zero rows, repeated rows and combinations
+    # of a few base rows, so that many rows reduce to zero, some only after
+    # several kept rows
+    f = field_from_order(q)
+    rng = random.Random(500 + q)
+    for _ in range(60):
+        cols = rng.randrange(1, 9)
+        base = [[rng.randrange(q) for _ in range(cols)]
+                for _ in range(rng.randrange(1, 5))]
+        rows = []
+        for _ in range(rng.randrange(1, 10)):
+            kind = rng.random()
+            if kind < 0.2:
+                rows.append([0] * cols)
+            elif kind < 0.4 and rows:
+                rows.append(list(rng.choice(rows)))
+            else:
+                row = [0] * cols
+                for b in base:
+                    c = rng.randrange(q)
+                    row = [f.add(r, f.mul(c, e)) for r, e in zip(row, b)]
+                rows.append(row)
+        ent = [e for row in rows for e in row]
+        rank = len(kernels.row_reduce(ent, len(rows), cols, f)[1])
+        want = rref_rows(f, rows, width=cols)
+        pairs = _lead_rows(f, rows)
+        for field in (f, _stripped(f)):
+            kept = {}
+            assert kernels.echelon_insert(kept, pairs, cols + 1, field) == rank
+            for lead, row in kept.items():
+                assert row[lead] == 1 and not any(row[:lead])
+            assert rref_rows(f, kept.values(), width=cols) == want
+            if rank:
+                stop = rng.randrange(1, rank + 1)
+                kept = {}
+                assert kernels.echelon_insert(kept, pairs, stop, field) == stop
+                assert len(kept) == stop
