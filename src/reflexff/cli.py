@@ -12,7 +12,7 @@ Exit codes are a stable contract:
   member walk of each random search sample, the n*dim_u*dim_v entries each
   random search sample draws (bounded by REFLEXFF_GUARD or 10^7, whatever
   --guard says), or the walks of a single space (analyze, closure, mrk),
-  10 rank-bound violation.
+  10 rank-bound violation, 130 interrupted (SIGINT, as from Ctrl-C).
 Reports go to stdout as pure JSON, or to --output; --pretty renders analyze,
 census, trace and search as a table instead.  Diagnostics go to stderr, and
 nowhere when the process started with fd 2 closed.
@@ -335,6 +335,9 @@ def main(argv=None) -> int:
     except (ValueError, TypeError, KeyError, OSError) as e:
         _diagnose(f"error: {e}\n")
         return 2
+    except KeyboardInterrupt:
+        _diagnose("error: interrupted\n")
+        return 130
 
 
 if __name__ == "__main__":

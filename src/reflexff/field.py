@@ -172,9 +172,11 @@ class FieldSpec:
     )
 
     def __init__(self, p: int, k: int, modulus):
-        if not isinstance(p, int) or p < 2:
+        if type(p) is not int or type(k) is not int:
+            raise ValueError(f"p and k must be integers, got {p!r} and {k!r}")
+        if p < 2:
             raise ValueError(f"characteristic must be prime, got {p!r}")
-        if not isinstance(k, int) or k < 1:
+        if k < 1:
             raise ValueError(f"extension degree must be >= 1, got {k!r}")
         # bounded before a power or a factoring runs: p >= 2 puts k > 16 past 2^16
         if k > 16 or p**k > MAX_ORDER:
@@ -374,8 +376,10 @@ _FIELDS: dict = {}
 
 def field_make(p: int, k: int = 1, modulus=None) -> FieldSpec:
     """Validated GF(p^k).  ``modulus`` is a low-degree-first coefficient list."""
-    # the key must hold ints: 1.0 == 1 and hashes alike, so a float
-    # coefficient would otherwise hit a field cached for the int one
+    # the key must hold ints: 1.0 == 1 == True and all hash alike, so a
+    # float or bool p, k or coefficient would otherwise hit a cached field
+    if type(p) is not int or type(k) is not int:
+        raise ValueError(f"p and k must be integers, got {p!r} and {k!r}")
     if modulus is not None:
         modulus = _coefficients(modulus)
     f = _FIELDS.get((p, k, modulus))

@@ -4,15 +4,16 @@
 swap and the pivot list are written once, and it returns the reduced row
 echelon form.  ``echelon_insert`` adds rows to a forward echelon, a dict
 from lead column to a kept row with lead entry 1, and never reduces the
-rows it keeps; the closure scan builds its condition system this way and
-needs only its rank, which is the echelon's size.
+rows it keeps: the closure scan needs only its rank, the echelon's size.
 
-Both scale and clear in one of two ways.  Fields up to ``TABLE_LIMIT``
-(q <= 256) carry full q*q add/mul tables and use table lookups; larger
-fields work on the field's exp/log lists with Zech logarithms: a nonzero v
-is g^log[v], products add logs, and w + g^m = g^(lw + zech[m - lw]) with
-lw = log[w] (see field.py).  The pivot choices do not depend on the
-arithmetic, so both produce identical output.
+Fields up to ``TABLE_LIMIT`` (q <= 256) carry q*q add/mul tables, and both
+routines scale and clear by lookups in them.  On larger fields
+``row_reduce`` works on the field's exp/log lists with Zech logarithms (a
+nonzero v is g^log[v], products add logs, and w + g^m =
+g^(lw + zech[m - lw]) with lw = log[w]; see field.py), and
+``echelon_insert``, a tiny share of the work there, calls the field's add
+and mul.  The pivot choices do not depend on the arithmetic, so every arm
+gives the same output.
 """
 
 BACKEND = "python"
@@ -99,8 +100,7 @@ def row_reduce(entries, rows, cols, field):
 
 
 def echelon_insert(kept, rows, stop, field):
-    """Insert (lead, row) pairs into the forward echelon ``kept``; returns
-    its size.
+    """Add (lead, row) pairs to the forward echelon ``kept``; returns its size.
 
     ``kept`` maps a lead column to a row whose entries before it are 0 and
     whose entry there is 1; each of ``rows`` has that form too, and no row
@@ -110,12 +110,11 @@ def echelon_insert(kept, rows, stop, field):
     rows are never touched again, so the echelon is not reduced: its rank
     is its size.  The insertion stops once ``kept`` holds ``stop`` rows.
     """
-    neg_t, mul_t = field.neg_t, field.mul_t
+    neg_t, inv_t, mul_t = field.neg_t, field.inv_t, field.mul_t
     if mul_t is not None:
-        q, add_t, inv_t = field.q, field.add_t, field.inv_t
+        q, add_t = field.q, field.add_t
     else:
-        exp, log, zech = field._exp, field._log, field._zech
-        order = field.q - 1
+        add, mul = field.add, field.mul
     for lead, row in rows:
         k = kept.get(lead)
         if k is not None:
@@ -132,20 +131,11 @@ def echelon_insert(kept, rows, stop, field):
                         if v:
                             row[j] = add_t[row[j] * q + mul_t[nf + v]]
                 else:
-                    lnf = log[neg_t[f]]
+                    nf = neg_t[f]
                     for j in range(lead + 1, width):
                         v = k[j]
                         if v:
-                            m = lnf + log[v]
-                            if m >= order:
-                                m -= order
-                            w = row[j]
-                            if w:
-                                lw = log[w]
-                                z = zech[m - lw]
-                                row[j] = exp[lw + z] if z >= 0 else 0
-                            else:
-                                row[j] = exp[m]
+                            row[j] = add(row[j], mul(nf, v))
                 for lead in range(lead + 1, width):
                     if row[lead]:
                         break
@@ -156,12 +146,11 @@ def echelon_insert(kept, rows, stop, field):
                 continue  # the remainder is zero
             piv = row[lead]
             if piv != 1:
+                inv = inv_t[piv]
                 if mul_t is not None:
-                    inv = inv_t[piv]
                     row = [mul_t[v * q + inv] for v in row]
                 else:
-                    linv = order - log[piv]
-                    row = [exp[log[v] + linv] if v else 0 for v in row]
+                    row = [mul(v, inv) for v in row]
         kept[lead] = row
         if len(kept) == stop:
             break

@@ -19,6 +19,9 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from functools import partial
+from itertools import chain
+from operator import getitem
 
 from . import kernels
 from .errors import DependentBasisError, GuardExceeded, MembershipError
@@ -71,35 +74,37 @@ _MEMO_LIMIT = 1 << 16
 
 
 class _Memo(dict):
-    """A dict that takes entries while ``room`` values are left."""
+    """A dict that fills itself: a missing key gets ``make(key)``, a (value,
+    size) pair, and keeps the value while its size fits in ``room``."""
 
-    def __init__(self, room):
+    def __init__(self, room, make):
         self.room = room
+        self.make = make
 
-    def keep(self, key, value, size):
-        """``value``, stored under ``key`` when its ``size`` values fit."""
+    def __missing__(self, key):
+        value, size = self.make(key)
         if size <= self.room:
             self.room -= size
             self[key] = value
         return value
 
 
-# (field, dim_u, dim_v) -> (points, the points as the rows of a Matrix, row
-# values, a condition _Memo per point); filled lazily by ``closure_system``.
-# A condition entry maps an image tuple to its point's (lead, row) pairs
-# and counts the values of both; an image tuple's length tells n.
+# (field, dim_u, dim_v) -> (a _Memo of each basis-map row's values at the
+# points, a condition _Memo per point).  A condition entry maps an image
+# tuple to its point's (lead, row) pairs; an image tuple's length tells n.
 _closure_memos: dict = {}
 
-# (field, dim_u, dim_v) -> _Memo {member's entry tuple: rank}; filled lazily
-# by ``rank_walk``.  The field, not q: a rank over GF(8) depends on the modulus.
+# (field, dim_u, dim_v) -> _Memo {member's entry tuple: rank}.  The field,
+# not q: a rank over GF(8) depends on the modulus.
 _rank_memos: dict = {}
 
 
 def _closure_memo(field, dim_u, dim_v):
     """The shape's memo, created on first use; its points' condition memos
     share ``_MEMO_LIMIT``.  None when the q^dim_u rows' values alone would
-    pass it: there they cost more than the early exit leaves to do (a 2x2
-    closure over GF(256) stops after a few of its 257 points)."""
+    pass it, as at 2x2 over GF(256) and up.  (There, on the ``reports``
+    benchmark's spaces, n = 1 closures stop after 3 points; n = 2 ones scan
+    257 of 257 over GF(256), 155 of 258 over GF(257), 513 of 513 over GF(512).)"""
     key = (field, dim_u, dim_v)
     memo = _closure_memos.get(key)
     if memo is None:
@@ -109,7 +114,9 @@ def _closure_memo(field, dim_u, dim_v):
         points = tuple(iter_projective(q, dim_u))
         at_points = Matrix(field, len(points), dim_u, [e for x in points for e in x])
         memo = _closure_memos[key] = (
-            points, at_points, {}, [_Memo(_MEMO_LIMIT // len(points)) for _ in points])
+            _Memo(_MEMO_LIMIT, lambda r: (at_points.apply(r), len(points))),
+            [_Memo(_MEMO_LIMIT // len(points), partial(_point_conditions, field, x, dim_v))
+             for x in points])
     return memo
 
 
@@ -137,6 +144,13 @@ def _conditions(field, x, img, ipiv, v):
     return tuple(cond)
 
 
+def _point_conditions(field, x, v, images):
+    """(``_conditions`` at x for the n*v ``images``, the values both hold)."""
+    img, ipiv = kernels.row_reduce(images, len(images) // v, v, field)
+    return (_conditions(field, x, img, ipiv, v),
+            len(images) + (v - len(ipiv)) * len(x) * v)
+
+
 def closure_system(field, dim_u, dim_v, flats):
     """The conditions that cut R(S) out of all dim_v x dim_u matrices, as
     a forward echelon: a dict from lead column to a kept row (a tuple or
@@ -147,18 +161,17 @@ def closure_system(field, dim_u, dim_v, flats):
     ``flats``.  For each projective x, in lexicographic order, the images
     f_k(x) are reduced and every annihilator c of S(x) gives the condition
     c . g(x) = 0 on the unknown g, whose row is c x^T flattened.  Each row
-    is inserted into the echelon (``kernels.echelon_insert``), which never
-    reduces the rows it keeps.  S lies in R(S), so once the rank reaches
-    dim_u*dim_v - n the system already forces R(S) = S and the scan stops,
-    possibly partway through a point's rows.  The echelon is not reduced:
-    a caller that needs R(S) as a null space reduces it once
+    is inserted into the echelon (``kernels.echelon_insert``).  S lies in
+    R(S), so once the rank reaches dim_u*dim_v - n the system forces
+    R(S) = S and the scan stops, possibly partway through a point's rows.
+    A caller that needs R(S) as a null space reduces the echelon once
     (``OperatorSpace.reflexive_closure``).
 
     The conditions at x depend only on x and the image tuple, so a shape
     may keep each basis-map row's values at every point and each (point,
-    image tuple)'s condition rows in a per-process memo
-    (``_closure_memo``); a candidate then costs one lookup per point.
-    n = 0 keeps none.
+    image tuple)'s condition rows in a per-process memo (``_closure_memo``):
+    a candidate then costs one lookup per point, in one lazy stream of rows
+    read only up to the early exit.  n = 0 keeps none.
     """
     p, v = dim_u, dim_v
     width = p * v
@@ -170,23 +183,10 @@ def closure_system(field, dim_u, dim_v, flats):
     insert = kernels.echelon_insert
     memo = _closure_memo(field, p, v) if n else None
     if memo is not None:
-        points, at_points, values, known = memo
-        cols = []
-        for fk in flats:
-            for b in range(0, width, p):
-                r = fk[b:b + p]
-                vals = values.get(r)
-                if vals is None:
-                    vals = values[r] = at_points.apply(r)
-                cols.append(vals)
-        for x, seen, images in zip(points, known, zip(*cols)):
-            cond = seen.get(images)
-            if cond is None:
-                img, ipiv = kernels.row_reduce(images, n, v, field)
-                cond = seen.keep(images, _conditions(field, x, img, ipiv, v),
-                                 len(images) + (v - len(ipiv)) * width)
-            if cond and insert(kept, cond, target, field) == target:
-                break
+        values, known = memo
+        cols = [values[fk[b:b + p]] for fk in flats for b in range(0, width, p)]
+        insert(kept, chain.from_iterable(map(getitem, known, zip(*cols))),
+               target, field)
         return kept
     # No memo: the same steps, computed afresh at each point.
     add, mul = field.add, field.mul
@@ -225,13 +225,13 @@ def rank_walk(field, dim_u, dim_v, flats, coeff_vectors, offset=None):
     keyed by the entry tuple and bounded like every memo (``_Memo``): a
     member is reduced at most once however many spaces or cosets hold it.
     """
-    width = dim_u * dim_v
-    start = [0] * width if offset is None else list(offset)
+    start = [0] * (dim_u * dim_v) if offset is None else list(offset)
     add, mul = field.add, field.mul
     nonzero = [[(t, e) for t, e in enumerate(fk) if e] for fk in flats]
     ranks = _rank_memos.get((field, dim_u, dim_v))
     if ranks is None:
-        ranks = _rank_memos[(field, dim_u, dim_v)] = _Memo(_MEMO_LIMIT)
+        ranks = _rank_memos[(field, dim_u, dim_v)] = _Memo(_MEMO_LIMIT, lambda key: (
+            len(kernels.row_reduce(key, dim_v, dim_u, field)[1]), len(key)))
     for coeffs in coeff_vectors:
         member = start[:]
         for c, fk in zip(coeffs, nonzero):
@@ -241,12 +241,7 @@ def rank_walk(field, dim_u, dim_v, flats, coeff_vectors, offset=None):
                         e = mul(c, e)
                     m = member[t]
                     member[t] = add(m, e) if m else e
-        key = tuple(member)
-        rank = ranks.get(key)
-        if rank is None:
-            rank = ranks.keep(key, len(kernels.row_reduce(
-                key, dim_v, dim_u, field)[1]), width)
-        yield coeffs, member, rank
+        yield coeffs, member, ranks[tuple(member)]
 
 
 def walk_profile(walk):

@@ -255,9 +255,17 @@ def _run_exhaustive(params: SearchParams, ambient: int,
     if workers <= 1:
         parts = map(scan, patterns)
     else:
-        import multiprocessing  # only a pooled search pays for this import
+        import multiprocessing  # only a pooled search pays for these imports
+        import signal
 
-        with multiprocessing.Pool(workers) as pool:
+        # workers inherit SIGINT blocked (fork and exec keep the mask): Ctrl-C
+        # stops this process alone, and leaving the with block ends the pool
+        mask = signal.pthread_sigmask(signal.SIG_BLOCK, [signal.SIGINT])
+        try:
+            pool = multiprocessing.Pool(workers)
+        finally:
+            signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+        with pool:
             parts = pool.map(scan, patterns)
     acc = _Acc()
     for part in parts:

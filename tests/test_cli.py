@@ -3,7 +3,11 @@ import contextlib
 import io
 import json
 import os
+import resource
+import signal
+import subprocess
 import sys
+import time
 
 import pytest
 
@@ -164,6 +168,40 @@ def test_closed_stderr_keeps_diagnostics_off_stdout(cli_child):
     # error line into the report stream
     code, out, err = cli_child(["analyze", "/nonexistent.json"], stderr_closed=True)
     assert (code, out, err) == (2, "", "")
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_interrupted_search_exit_130(jobs):
+    # Ctrl-C sends SIGINT to the whole foreground process group, pool
+    # workers included; the child runs in its own session, so the signal
+    # goes to the group as a terminal would send it.  The search below
+    # takes far longer than the wait before the signal.
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    child = subprocess.Popen(
+        [sys.executable, "-m", "reflexff.cli", "search", "--q", "2",
+         "--dim-u", "3", "--dim-v", "3", "--n", "3", "--jobs", jobs],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        start_new_session=True, env={**os.environ, "PYTHONPATH": path},
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)))
+    try:
+        time.sleep(2)
+        os.killpg(child.pid, signal.SIGINT)
+        out, err = child.communicate(timeout=10)
+        # no process of the session is left running
+        deadline = time.monotonic() + 5
+        while True:
+            try:
+                os.killpg(child.pid, 0)
+            except ProcessLookupError:
+                break
+            assert time.monotonic() < deadline, "a worker outlived the search"
+            time.sleep(0.05)
+    finally:
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(child.pid, signal.SIGKILL)
+        child.communicate()
+    assert (child.returncode, out, err) == (130, "", "error: interrupted\n")
 
 
 def test_dependent_basis_exit_3(tmp_path):

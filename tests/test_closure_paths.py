@@ -26,7 +26,7 @@ from reflexff import (
 )
 from reflexff import kernels, opspace
 from reflexff.field import FieldSpec
-from reflexff.matrix import null_basis
+from reflexff.matrix import iter_projective, null_basis
 from reflexff.opspace import closure_system
 from reflexff.search import _mrk
 from oracles import brute_closure_set, duality_closure_set, space_element_set
@@ -224,10 +224,11 @@ def test_insertion_matches_reference_on_random_spaces(q, dim_u, dim_v, n, count)
     (4, [(2, 2, 1), (2, 2, 2), (3, 2, 2)]),
     (9, [(2, 2, 2), (2, 3, 2), (2, 3, 4)]),
 ])
-def test_insertion_zech_arm_on_the_memo_path(monkeypatch, q, shapes):
-    # a copy of GF(q) stripped of its q*q tables takes the exp/log/Zech arm
-    # of the insertion on the memo path, with memos built through it; the
-    # reference and the duality oracle run on the tabled field
+def test_insertion_table_free_arm_on_the_memo_path(monkeypatch, q, shapes):
+    # a copy of GF(q) stripped of its q*q tables takes the table-free arm
+    # of the insertion (the field's own add and mul) on the memo path, with
+    # memos built through it; the reference and the duality oracle run on
+    # the tabled field
     monkeypatch.setattr(opspace, "_closure_memos", {})
     f = field_from_order(q)
     bare = FieldSpec(f.p, f.k, f.modulus)
@@ -251,12 +252,12 @@ def test_memo_stays_within_its_bound_on_the_gf3_slice():
     f = field_from_order(3)
     report = exhaustive_verify(SearchParams(field=f, dim_u=3, dim_v=2, n=2))
     assert report.spaces_examined == 11011
-    points, _, values, known = opspace._closure_memos[(f, 3, 2)]
-    assert len(points) == 13
+    values, known = opspace._closure_memos[(f, 3, 2)]
+    assert len(known) == 13
     assert len(values) <= 3**3
     # each point's condition memo counts the values of its image tuples
     # and condition rows against its share of the bound
-    share = opspace._MEMO_LIMIT // len(points)
+    share = opspace._MEMO_LIMIT // len(known)
     for seen in known:
         held = sum(len(images) + sum(len(row) for _, row in cond)
                    for images, cond in seen.items())
@@ -264,6 +265,27 @@ def test_memo_stays_within_its_bound_on_the_gf3_slice():
     stored = (sum(len(vals) for vals in values.values())
               + sum(share - seen.room for seen in known))
     assert 0 < stored <= opspace._MEMO_LIMIT
+
+
+def test_memo_stream_stops_at_the_target(monkeypatch):
+    # the memo path streams its points' conditions lazily into the
+    # insertion: once the echelon reaches its target at point i, no later
+    # point's condition memo is looked up, so each stays empty
+    monkeypatch.setattr(opspace, "_closure_memos", {})
+    f = field_from_order(3)
+    rows = ((1, 2, 1, 2, 1, 1),)  # a reflexive GF(3) 3x2 space, n = 1
+    target = 6 - len(rows)
+    kept = {}
+    for stop, x in enumerate(iter_projective(3, 3)):
+        images = tuple(e for fk in rows for e in Matrix(f, 2, 3, fk).apply(x))
+        cond, _ = opspace._point_conditions(f, x, 2, images)
+        if kernels.echelon_insert(kept, cond, target, f) == target:
+            break
+    assert len(closure_system(f, 3, 2, rows)) == target
+    known = opspace._closure_memos[(f, 3, 2)][1]
+    assert (stop, len(known)) == (5, 13)
+    assert all(known[:stop + 1])
+    assert not any(known[stop + 1:])
 
 
 def test_memo_keys_separate_fields(monkeypatch):
@@ -297,7 +319,7 @@ def test_full_condition_memos_only_serve_lookups(monkeypatch):
     spaces = [_random_space(f, 3, 2, 2, rng) for _ in range(120)]
     for space in spaces[:60]:
         assert system_closure(space) == reference_closure_basis(space)
-    known = opspace._closure_memos[(f, 3, 2)][3]
+    known = opspace._closure_memos[(f, 3, 2)][1]
     assert all(seen.room < 4 for seen in known)  # no n = 2 entry fits
     full = [dict(seen) for seen in known]
     for space in spaces[60:]:
@@ -318,7 +340,7 @@ def test_regime_shapes_get_a_memo(monkeypatch, q, dim_u, dim_v, n):
         space = _random_space(f, dim_u, dim_v, n, rng)
         assert system_closure(space) == reference_closure_basis(space)
     assert set(opspace._closure_memos) == {(f, dim_u, dim_v)}
-    assert any(opspace._closure_memos[(f, dim_u, dim_v)][3])
+    assert any(opspace._closure_memos[(f, dim_u, dim_v)][1])
 
 
 def test_closure_memo_keys_hold_no_n(monkeypatch):
@@ -332,7 +354,7 @@ def test_closure_memo_keys_hold_no_n(monkeypatch):
             space = _random_space(f, 3, 2, n, rng)
             assert system_closure(space) == reference_closure_basis(space)
     assert set(opspace._closure_memos) == {(f, 3, 2)}
-    known = opspace._closure_memos[(f, 3, 2)][3]
+    known = opspace._closure_memos[(f, 3, 2)][1]
     assert {len(images) for seen in known for images in seen} == {2, 4, 6}
 
 

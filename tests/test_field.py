@@ -58,6 +58,22 @@ def test_non_integer_modulus_coefficients_rejected():
     assert field_make(2, 2, (1, 1, 1)) is f
 
 
+@pytest.mark.parametrize("p,k", [(2.0, 1), (5, 1.0), (3, True)])
+def test_non_int_characteristic_and_degree_rejected(monkeypatch, p, k):
+    # rejected in a fresh process and once the int field is cached: 2.0 == 2
+    # and True == 1 hash alike, so they must not reach its cache key
+    from reflexff.field import FieldSpec
+
+    monkeypatch.setattr(field, "_FIELDS", {})
+    for make in (field_make, FieldSpec):
+        with pytest.raises(ValueError, match="p and k must be integers"):
+            make(p, k, None)
+    f = field_make(int(p), int(k))
+    with pytest.raises(ValueError, match="p and k must be integers"):
+        field_make(p, k)
+    assert field_make(int(p), int(k)) is f
+
+
 def test_degree_and_coefficient_range_rejected():
     with pytest.raises(ValueError, match="extension degree must be >= 1, got 0"):
         field_make(2, 0)
