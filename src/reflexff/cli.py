@@ -11,8 +11,10 @@ Exit codes are a stable contract:
   closure walk of an n = 0 slice's zero space, a census coset, the point or
   member walk of each random search sample, the n*dim_u*dim_v entries each
   random search sample draws (bounded by REFLEXFF_GUARD or 10^7, whatever
-  --guard says), or the walks of a single space (analyze, closure, mrk),
-  10 rank-bound violation, 130 interrupted (SIGINT, as from Ctrl-C).
+  --guard says), the walks of a single space (analyze, closure, mrk), or a
+  closure system whose shape admits (dim_u*dim_v)^2 > 2^24 entries (a
+  fixed bound), 10 rank-bound violation, 130 interrupted (SIGINT, as from
+  Ctrl-C).
 Reports go to stdout as pure JSON, or to --output; --pretty renders analyze,
 census, trace and search as a table instead.  Diagnostics go to stderr, and
 nowhere when the process started with fd 2 closed.

@@ -35,8 +35,9 @@ import sys
 from array import array
 
 # Up to this order a field also keeps full q*q add/mul tables, their rows
-# read from its exp/log/Zech lists; they feed the table path of the
-# elimination kernel.  Larger fields add and multiply on the lists.
+# read from its exp/log/Zech lists; the elimination kernels scale and clear
+# through them.  Larger fields add and multiply on the lists, and the
+# kernels call their add and mul.
 TABLE_LIMIT = 256
 MAX_ORDER = 1 << 16
 

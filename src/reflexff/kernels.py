@@ -7,13 +7,9 @@ from lead column to a kept row with lead entry 1, and never reduces the
 rows it keeps: the closure scan needs only its rank, the echelon's size.
 
 Fields up to ``TABLE_LIMIT`` (q <= 256) carry q*q add/mul tables, and both
-routines scale and clear by lookups in them.  On larger fields
-``row_reduce`` works on the field's exp/log lists with Zech logarithms (a
-nonzero v is g^log[v], products add logs, and w + g^m =
-g^(lw + zech[m - lw]) with lw = log[w]; see field.py), and
-``echelon_insert``, a tiny share of the work there, calls the field's add
-and mul.  The pivot choices do not depend on the arithmetic, so every arm
-gives the same output.
+routines scale and clear by lookups in them.  On larger fields, a small
+share of the work, both call the field's add and mul.  The pivot choices
+do not depend on the arithmetic, so both arms give the same output.
 """
 
 BACKEND = "python"
@@ -22,12 +18,11 @@ BACKEND = "python"
 def row_reduce(entries, rows, cols, field):
     """RREF of a flat row-major sequence; returns (entry list, pivot tuple)."""
     a = list(entries)
-    neg_t, mul_t = field.neg_t, field.mul_t
+    neg_t, inv_t, mul_t = field.neg_t, field.inv_t, field.mul_t
     if mul_t is not None:
-        q, add_t, inv_t = field.q, field.add_t, field.inv_t
+        q, add_t = field.q, field.add_t
     else:
-        exp, log, zech = field._exp, field._log, field._zech
-        order = field.q - 1
+        add, mul = field.add, field.mul
     pivots = []
     r = 0
     for c in range(cols):
@@ -45,8 +40,8 @@ def row_reduce(entries, rows, cols, field):
             ib = pr * cols
             for j in range(c, cols):
                 a[rb + j], a[ib + j] = a[ib + j], a[rb + j]
+        piv = a[rb + c]
         if mul_t is not None:
-            piv = a[rb + c]
             if piv != 1:
                 inv = inv_t[piv]
                 for j in range(c, cols):
@@ -65,35 +60,23 @@ def row_reduce(entries, rows, cols, field):
                         if v:
                             a[ib + j] = add_t[a[ib + j] * q + mul_t[nf + v]]
         else:
-            # scale the pivot row by 1/piv, keeping (column, log) of its nonzeros
-            linv = order - log[a[rb + c]]
-            nz = []
-            for j in range(c, cols):
-                v = a[rb + j]
-                if v:
-                    lv = log[v] + linv
-                    if lv >= order:
-                        lv -= order
-                    a[rb + j] = exp[lv]
-                    nz.append((j, lv))
+            if piv != 1:
+                inv = inv_t[piv]
+                for j in range(c, cols):
+                    v = a[rb + j]
+                    if v:
+                        a[rb + j] = mul(v, inv)
             for i in range(rows):
                 if i == r:
                     continue
-                ib = i * cols
-                f = a[ib + c]
+                f = a[i * cols + c]
                 if f:
-                    lnf = log[neg_t[f]]
-                    for j, lv in nz:
-                        m = lnf + lv
-                        if m >= order:
-                            m -= order
-                        w = a[ib + j]
-                        if w:
-                            lw = log[w]
-                            z = zech[m - lw]
-                            a[ib + j] = exp[lw + z] if z >= 0 else 0
-                        else:
-                            a[ib + j] = exp[m]
+                    ib = i * cols
+                    nf = neg_t[f]
+                    for j in range(c, cols):
+                        v = a[rb + j]
+                        if v:
+                            a[ib + j] = add(a[ib + j], mul(nf, v))
         pivots.append(c)
         r += 1
     return a, tuple(pivots)

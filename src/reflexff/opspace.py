@@ -35,6 +35,7 @@ from .matrix import (  # noqa: F401  (mat_kernel, mat_rank: perfbench/tracer.py 
 )
 
 DEFAULT_GUARD = 10**7
+SYSTEM_GUARD = 1 << 24  # max (dim_u*dim_v)^2 entries of a closure system
 
 
 def default_guard() -> int:
@@ -66,6 +67,17 @@ def _guard_points(q, dim, what, guard=None):
         if count > guard:
             raise GuardExceeded(f"{what} walk over ({q}^{dim} - 1)/({q} - 1) "
                                 f"points exceeds the guard {guard}")
+
+
+def _guard_system(dim_u, dim_v):
+    """GuardExceeded when a closure system of dim_u x dim_v maps could pass
+    SYSTEM_GUARD entries.  Its rows have width dim_u*dim_v, and neither one
+    point's (at most dim_v) condition rows nor the kept echelon (at most
+    dim_u*dim_v rows) holds more than (dim_u*dim_v)^2 entries."""
+    width = dim_u * dim_v
+    if width * width > SYSTEM_GUARD:
+        raise GuardExceeded(f"closure system of ({dim_u}*{dim_v})^2 entries "
+                            f"exceeds the guard {SYSTEM_GUARD}")
 
 
 # Every per-shape memo takes entries until they hold this many values (those
@@ -355,6 +367,7 @@ class OperatorSpace:
         if cached is not None:
             return cached
         _guard_points(self.field.q, self.dim_u, "closure")
+        _guard_system(self.dim_u, self.dim_v)
         f = self.field
         p, v = self.dim_u, self.dim_v
         width = p * v

@@ -38,8 +38,9 @@ from operator import itemgetter
 from .errors import GuardExceeded, TheoremViolation
 from .field import FieldSpec, field_make
 from .matrix import Matrix, iter_projective, rref_rows
-from .opspace import (OperatorSpace, _guard_points, closure_system,
-                      default_guard, hyperplane_lld_check, rank_walk)
+from .opspace import (OperatorSpace, _guard_points, _guard_system,
+                      closure_system, default_guard, hyperplane_lld_check,
+                      rank_walk)
 
 RNG_NAME = "python-mt19937"
 
@@ -50,6 +51,7 @@ def gaussian_binomial(m: int, k: int, q: int) -> int:
         raise ValueError("dimensions must be non-negative")
     if k > m:
         raise ValueError(f"k={k} exceeds m={m}")
+    k = min(k, m - k)  # [m, k]_q = [m, m - k]_q
     num = 1
     den = 1
     for i in range(k):
@@ -295,8 +297,9 @@ def _search(params: SearchParams, mode: str, extremal: bool) -> SearchReport:
 
     A malformed mode, the other mode, a malformed shape, n, job count,
     guard or sample count raises ValueError, and a slice, its closure walk,
-    a sample walk past the guard or a sample draw past the process guard
-    (``default_guard``) raises GuardExceeded, before any scan;
+    a sample walk past the guard, a sample draw past the process guard
+    (``default_guard``) or a shape past the closure-system bound
+    (``opspace.SYSTEM_GUARD``) raises GuardExceeded, before any scan;
     a broken rank bound raises TheoremViolation carrying the report."""
     if params.mode not in ("exhaustive", "random"):
         raise ValueError(
@@ -328,14 +331,17 @@ def _search(params: SearchParams, mode: str, extremal: bool) -> SearchReport:
         if n * ambient > limit:
             raise GuardExceeded(f"random sample of {n} x {ambient} entries "
                                 f"exceeds the guard {limit}")
-        population, acc = None, _run_random(params, ambient, extremal)
+        population = None
     else:
         population = _count_subspaces(ambient, n, f.q, guard)
         if n < ambient:
             # every space short of the whole walks the points; only n = 0 has
             # a population (1) below their count
             _guard_points(f.q, params.dim_u, "closure", guard)
-        acc = _run_exhaustive(params, ambient, extremal)
+    # a basis, like the closure system, has width ambient and at most
+    # ambient rows
+    _guard_system(params.dim_u, params.dim_v)
+    acc = (_run_random if sampled else _run_exhaustive)(params, ambient, extremal)
     if f.q > n >= 3:
         status = "holds" if acc.bad_2n3 is None else "violated"
     else:

@@ -114,3 +114,39 @@ def duality_closure_set(space):
              if all(bilinear(f, m.entries, y, x, p) == 0 for m in space.basis)]
     return {g for g in product(range(q), repeat=v * p)
             if all(bilinear(f, g, y, x, p) == 0 for y, x in pairs)}
+
+
+# -- GF(p^k) arithmetic on the base-p digit encoding, from the field's
+# characteristic, degree and modulus only: digits add mod p, and a
+# schoolbook product is reduced by the modulus; no FieldSpec arithmetic
+
+
+def _digits(e, p, k):
+    return [e // p**i % p for i in range(k)]
+
+
+def _encode(digits, p):
+    return sum(d * p**i for i, d in enumerate(digits))
+
+
+def digit_add(f, a, b):
+    da, db = _digits(a, f.p, f.k), _digits(b, f.p, f.k)
+    return _encode([(x + y) % f.p for x, y in zip(da, db)], f.p)
+
+
+def digit_neg(f, a):
+    return _encode([-x % f.p for x in _digits(a, f.p, f.k)], f.p)
+
+
+def digit_mul(f, a, b):
+    p, k = f.p, f.k
+    prod = [0] * (2 * k - 1)
+    for i, x in enumerate(_digits(a, p, k)):
+        for j, y in enumerate(_digits(b, p, k)):
+            prod[i + j] += x * y
+    # x^k = -(m_0 + ... + m_(k-1) x^(k-1)) for the monic modulus m
+    for deg in range(2 * k - 2, k - 1, -1):
+        c, prod[deg] = prod[deg], 0
+        for j in range(k):
+            prod[deg - k + j] -= c * f.modulus[j]
+    return _encode([c % p for c in prod[:k]], p)

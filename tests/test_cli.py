@@ -12,7 +12,7 @@ import time
 import pytest
 
 from reflexff import dumps, field_make, space_to_json, construct_regular_rep
-from reflexff import cli
+from reflexff import GuardExceeded, cli, opspace
 from reflexff.cli import main
 
 
@@ -483,6 +483,58 @@ def test_random_draw_past_the_process_guard_exit_5(monkeypatch, cli_child):
                               "--dim-v", "1000", "--n", "1",
                               "--mode", "random", "--samples", "1"])
     assert code == 0 and json.loads(out)["spaces_examined"] == 1
+
+
+def _wide_space(tmp_path, dim_v, basis):
+    path = tmp_path / "wide.json"
+    path.write_text(dumps({"field": {"p": 2, "k": 1}, "dim_u": 1,
+                           "dim_v": dim_v, "basis": basis}))
+    return str(path)
+
+
+@pytest.mark.parametrize("case", ["analyze-12000", "search-12000", "closure-2^70"])
+def test_closure_system_past_its_bound_exit_5(tmp_path, cli_child, case):
+    # one point, but its condition rows (or the echelon, or a whole-space
+    # basis) would hold (dim_u*dim_v)^2 entries: refused by the shape
+    if case == "analyze-12000":
+        e1 = [[1]] + [[0]] * 11999
+        argv = ["analyze", _wide_space(tmp_path, 12000,
+                                       [{"rows": 12000, "cols": 1, "entries": e1}])]
+        dims = "1*12000"
+    elif case == "search-12000":
+        argv = ["search", "--q", "2", "--dim-u", "1", "--dim-v", "12000", "--n", "0"]
+        dims = "1*12000"
+    else:
+        path = tmp_path / "huge.json"
+        path.write_text(dumps({"field": {"p": 2, "k": 2}, "dim_u": 3,
+                               "dim_v": 2**70, "basis": []}))
+        argv = ["closure", str(path)]
+        dims = f"3*{2**70}"
+    code, out, err = cli_child(argv)
+    assert (code, out) == (5, "")
+    assert err == (f"error: closure system of ({dims})^2 entries exceeds the "
+                   f"guard {1 << 24}\n")
+
+
+def test_closure_system_bound_is_fixed(tmp_path, monkeypatch):
+    # the bound is a constant, not REFLEXFF_GUARD: a 1x64 closure whose
+    # system holds 64^2 entries runs under a guard of 100 (its 1 point)
+    monkeypatch.setenv("REFLEXFF_GUARD", "100")
+    code, out, _ = run_cli(["closure", _wide_space(tmp_path, 64, [])])
+    assert code == 0 and json.loads(out)["dim_v"] == 64
+    # and it admits exactly 2^24 entries, (1*4096)^2
+    opspace._guard_system(1, 4096)
+    with pytest.raises(GuardExceeded, match=r"\(1\*4097\)\^2 entries"):
+        opspace._guard_system(1, 4097)
+
+
+def test_whole_space_search_counts_one_subspace():
+    # [m, m]_q = 1 is counted without forming m products of q^i - 1
+    start = time.perf_counter()
+    code, out, _ = run_cli(["search", "--q", "2", "--dim-u", "1", "--dim-v",
+                            "2000", "--n", "2000"])
+    assert code == 0 and json.loads(out)["population"] == "1"
+    assert time.perf_counter() - start < 3
 
 
 @pytest.mark.parametrize("raw", ["abc", "0"])

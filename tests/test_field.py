@@ -5,6 +5,7 @@ import pytest
 
 from reflexff import field, field_make, field_from_order
 from reflexff.field import poly_is_irreducible
+from oracles import digit_add, digit_mul, digit_neg
 
 
 def test_prime_field_construction():
@@ -250,39 +251,9 @@ def test_element_encoding_is_base_p_digits():
 
 
 # -- the encoding contract against an independent oracle: base-p digits
-# added digit by digit, and a schoolbook product reduced by the modulus;
-# nothing below calls FieldSpec arithmetic
-
-
-def _oracle_digits(e, p, k):
-    return [e // p**i % p for i in range(k)]
-
-
-def _oracle_encode(digits, p):
-    return sum(d * p**i for i, d in enumerate(digits))
-
-
-def _oracle_add(f, a, b):
-    da, db = _oracle_digits(a, f.p, f.k), _oracle_digits(b, f.p, f.k)
-    return _oracle_encode([(x + y) % f.p for x, y in zip(da, db)], f.p)
-
-
-def _oracle_neg(f, a):
-    return _oracle_encode([-x % f.p for x in _oracle_digits(a, f.p, f.k)], f.p)
-
-
-def _oracle_mul(f, a, b):
-    p, k = f.p, f.k
-    prod = [0] * (2 * k - 1)
-    for i, x in enumerate(_oracle_digits(a, p, k)):
-        for j, y in enumerate(_oracle_digits(b, p, k)):
-            prod[i + j] += x * y
-    # x^k = -(m_0 + ... + m_(k-1) x^(k-1)) for the monic modulus m
-    for deg in range(2 * k - 2, k - 1, -1):
-        c, prod[deg] = prod[deg], 0
-        for j in range(k):
-            prod[deg - k + j] -= c * f.modulus[j]
-    return _oracle_encode([c % p for c in prod[:k]], p)
+# added digit by digit, and a schoolbook product reduced by the modulus
+# (oracles.digit_add, digit_neg and digit_mul); nothing below calls
+# FieldSpec arithmetic
 
 
 def _prime_powers(limit):
@@ -303,10 +274,10 @@ def test_tables_match_the_digit_oracle(p, k, modulus):
     f = field_make(p, k, modulus)
     q = f.q
     for a in range(q):
-        assert f.neg_t[a] == _oracle_neg(f, a)
-        row = [_oracle_mul(f, a, b) for b in range(q)]
+        assert f.neg_t[a] == digit_neg(f, a)
+        row = [digit_mul(f, a, b) for b in range(q)]
         assert f.mul_t[a * q:(a + 1) * q] == row
-        assert f.add_t[a * q:(a + 1) * q] == [_oracle_add(f, a, b) for b in range(q)]
+        assert f.add_t[a * q:(a + 1) * q] == [digit_add(f, a, b) for b in range(q)]
         if a:
             assert f.inv_t[a] == row.index(1)
 
@@ -325,11 +296,11 @@ def test_sampled_arithmetic_matches_the_digit_oracle(q):
     rng = random.Random(q)
     for _ in range(500):
         a, b = rng.randrange(q), rng.randrange(q)
-        assert f.add(a, b) == _oracle_add(f, a, b)
-        assert f.mul(a, b) == _oracle_mul(f, a, b)
-        assert f.neg(a) == _oracle_neg(f, a)
+        assert f.add(a, b) == digit_add(f, a, b)
+        assert f.mul(a, b) == digit_mul(f, a, b)
+        assert f.neg(a) == digit_neg(f, a)
         if a:
-            assert _oracle_mul(f, a, f.inv(a)) == 1
+            assert digit_mul(f, a, f.inv(a)) == 1
 
 
 # SHA-256 of bytes(add_t + mul_t + neg_t + inv_t) for every field with full

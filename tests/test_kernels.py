@@ -3,6 +3,7 @@ elimination loop produce identical output, and the echelon insertion keeps
 the rank and row space that the elimination loop finds."""
 
 import random
+from functools import partial
 
 import pytest
 
@@ -10,6 +11,7 @@ from reflexff import field_from_order, field_make, rref_rows
 from reflexff import kernels
 from reflexff.field import FieldSpec
 from reflexff.kernels import BACKEND
+from oracles import digit_add, digit_mul, digit_neg
 
 
 def random_cases(q, count, seed=99):
@@ -47,8 +49,8 @@ def test_fields_cover_every_table_field():
 @pytest.mark.parametrize("q,f", [(f.q, f) for f in FIELDS])
 def test_generic_vs_object_path(q, f):
     # row_reduce runs once on the cached field, through its q*q tables, and
-    # once on a fresh copy stripped of them, on the exp/log/Zech lists that
-    # fields with q > 256 use
+    # once on a fresh copy stripped of them, through the field's add and mul
+    # as on fields with q > 256
     bare = FieldSpec(f.p, f.k, f.modulus)
     bare.add_t = bare.mul_t = None
     for rows, cols, ent in random_cases(q, 100, seed=q):
@@ -119,3 +121,87 @@ def test_echelon_insert_rank_matches_row_reduce(q):
                 kept = {}
                 assert kernels.echelon_insert(kept, pairs, stop, field) == stop
                 assert len(kept) == stop
+
+
+def _textbook(f):
+    """(add, mul, neg, inv) of GF(q) without FieldSpec arithmetic: % p on a
+    prime field, the digit oracles on an extension field."""
+    if f.k == 1:
+        p = f.p
+        return ((lambda a, b: (a + b) % p), (lambda a, b: a * b % p),
+                (lambda a: -a % p), (lambda a: pow(a, p - 2, p)))
+    add, mul = partial(digit_add, f), partial(digit_mul, f)
+
+    def inv(a):  # a^(q - 2), by squaring
+        out, e = 1, f.q - 2
+        while e:
+            if e & 1:
+                out = mul(out, a)
+            a, e = mul(a, a), e >> 1
+        return out
+
+    return add, mul, partial(digit_neg, f), inv
+
+
+def _textbook_rref(arith, rows, cols):
+    """Gauss-Jordan as the textbook writes it: at each column, the first
+    nonzero row from r down is swapped up, scaled to 1, and subtracted
+    from every other row; returns (flat entries, pivot tuple)."""
+    add, mul, neg, inv = arith
+    a = [list(row) for row in rows]
+    pivots, r = [], 0
+    for c in range(cols):
+        pr = next((i for i in range(r, len(a)) if a[i][c]), None)
+        if pr is None:
+            continue
+        a[r], a[pr] = a[pr], a[r]
+        s = inv(a[r][c])
+        a[r] = [mul(s, e) for e in a[r]]
+        for i in range(len(a)):
+            if i != r and a[i][c]:
+                m = neg(a[i][c])
+                a[i] = [add(e, mul(m, g)) for e, g in zip(a[i], a[r])]
+        pivots.append(c)
+        r += 1
+    return [e for row in a for e in row], tuple(pivots)
+
+
+@pytest.mark.parametrize("q", [257, 512, 729, 65521, 65536])
+def test_row_reduce_past_the_table_limit_matches_the_textbook(q):
+    # seeded row sets with zero, repeated and dependent rows, reduced by
+    # row_reduce through the field's add and mul and by _textbook_rref on
+    # arithmetic of its own
+    f = field_from_order(q)
+    assert f.mul_t is None
+    arith = _textbook(f)
+    add, mul, _, inv = arith
+    rng = random.Random(700 + q)
+    for _ in range(16):
+        cols = rng.randrange(1, 8)
+        base = [[rng.randrange(q) if rng.random() < 0.7 else 0
+                 for _ in range(cols)] for _ in range(rng.randrange(1, 4))]
+        rows = []
+        for _ in range(rng.randrange(0, 7)):
+            kind = rng.random()
+            if kind < 0.2:
+                rows.append([0] * cols)
+            elif kind < 0.4 and rows:
+                rows.append(list(rng.choice(rows)))
+            elif kind < 0.8:
+                row = [0] * cols
+                for b in base:
+                    c = rng.randrange(q)
+                    row = [add(e, mul(c, g)) for e, g in zip(row, b)]
+                rows.append(row)
+            else:
+                rows.append([rng.randrange(q) for _ in range(cols)])
+        ent = [e for row in rows for e in row]
+        want = _textbook_rref(arith, rows, cols)
+        assert kernels.row_reduce(ent, len(rows), cols, f) == want
+        pairs = []
+        for row in rows:
+            lead = next((j for j, e in enumerate(row) if e), None)
+            if lead is not None:
+                s = inv(row[lead])
+                pairs.append((lead, [mul(s, e) for e in row]))
+        assert kernels.echelon_insert({}, pairs, cols + 1, f) == len(want[1])
