@@ -30,6 +30,7 @@ from dataclasses import dataclass, field as dc_field
 
 from . import kernels
 from .errors import GuardExceeded, MembershipError
+from .field import is_prime_power
 # mat_kernel and mat_rank stay bound here: perfbench/tracer.py wraps them by name
 from .matrix import Matrix, iter_vectors, mat_kernel, mat_rank  # noqa: F401
 from .opspace import OperatorSpace, default_guard, rank_walk, walk_profile
@@ -298,6 +299,10 @@ def proof_trace(q: int, p: int, n: int, profile: dict) -> TraceReport:
     if (q - 1).bit_length() * (p + n) > 3 * limit:
         raise ValueError(f"p = {p} is too large: the report's numbers, near "
                          f"{q}^(p+n), could pass {limit} decimal digits")
+    # last, on a q of at most 3 * limit bits: q may pass the orders that
+    # field_from_order builds, so no field is built to test it
+    if not is_prime_power(q):
+        raise ValueError(f"{q} is not a prime power")
 
     n_exact = _incidence(q, p, profile)
     floor = q**n + q**p - 1

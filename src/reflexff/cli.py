@@ -4,9 +4,10 @@ Exit codes are a stable contract:
   0 success, 2 malformed input (including a malformed REFLEXFF_GUARD, a search
   with --dim-u, --dim-v, --jobs or --guard below 1, a trace profile that
   repeats a rank, a malformed --profile entry, a trace p whose report numbers
-  could pass Python's default limit on printed digits, a field order above
-  2^16 and a JSON file nested too deep) or a report that cannot be written
-  (an unwritable --output, a closed stdout), 3 dependent basis, 4 census
+  could pass Python's default limit on printed digits, a trace q that is not
+  a prime power, a field order above 2^16 and a JSON file nested too deep)
+  or a report that cannot be written (an unwritable --output, a closed
+  stdout), 3 dependent basis, 4 census
   membership failure, 5 guard exceeded by an exhaustive search slice or the
   closure walk of an n = 0 slice's zero space, a census coset, the point or
   member walk of each random search sample, the n*dim_u*dim_v entries each

@@ -30,6 +30,7 @@ bytes.translate calls of the log bytes.
 
 from __future__ import annotations
 
+import math
 import operator
 import sys
 from array import array
@@ -54,6 +55,66 @@ def _prime_factors(n: int) -> dict[int, int]:
     if n > 1:
         out[n] = 1
     return out
+
+
+# Miller-Rabin to these bases decides primality exactly below _MR_EXACT
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_EXACT = 3317044064679887385961981
+
+
+def _root(q: int, k: int) -> int:
+    """floor(q^(1/k)) for q >= 1 and k >= 2, by Newton's method from a
+    float estimate raised past the root."""
+    e = math.log2(q) / k
+    s = max(0, int(e) - 30)
+    r = int(2 ** (e - s) + 2) << s
+    while True:
+        t = ((k - 1) * r + q // r ** (k - 1)) // k
+        if t >= r:
+            return r
+        r = t
+
+
+def is_prime_power(q: int) -> bool:
+    """Whether an integer q >= 2 is a power of a prime, decided without
+    building a field.
+
+    A prime factor below 2^8 decides at once (q must be a power of it),
+    and so does having none up to the square root of q.  Otherwise
+    q = r^k with r no perfect power, and q is a prime power exactly when r
+    is prime: Miller-Rabin to ``_MR_BASES`` decides that below
+    ``_MR_EXACT``.  Past it, where each base costs a modular power of r's
+    size, base 2 alone is tried, so a strong pseudoprime to base 2 would
+    pass."""
+    for d in range(2, 256):
+        if d * d > q:
+            return True
+        if q % d == 0:
+            while q % d == 0:
+                q //= d
+            return q == 1
+    # every prime factor of q passes 2^8, so a k-th root needs 8k bits
+    k = 2
+    while 8 * k < q.bit_length():
+        r = _root(q, k)
+        if r**k == q:
+            q = r
+        else:
+            k += 1
+    odd, s = q - 1, 0
+    while not odd & 1:
+        odd, s = odd >> 1, s + 1
+    for a in _MR_BASES if q < _MR_EXACT else _MR_BASES[:1]:
+        x = pow(a, odd, q)
+        if x == 1 or x == q - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % q
+            if x == q - 1:
+                break
+        else:
+            return False
+    return True
 
 
 def _digits(e: int, p: int, width: int) -> list[int]:

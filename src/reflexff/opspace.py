@@ -21,7 +21,7 @@ import os
 from dataclasses import dataclass
 from functools import partial
 from itertools import chain
-from operator import getitem
+from operator import getitem, itemgetter
 
 from . import kernels
 from .errors import DependentBasisError, GuardExceeded, MembershipError
@@ -101,9 +101,28 @@ class _Memo(dict):
         return value
 
 
+def _projective_cache():
+    """A memo (q, dim) -> the tuple of ``iter_projective(q, dim)``, kept
+    while its count*dim values fit.  That size is known before the tuple
+    is built: a (q, dim) past the room gets the generator, not kept."""
+    def points(key):
+        q, dim = key
+        size = (q**dim - 1) // (q - 1) * dim
+        walk = iter_projective(q, dim)
+        return (tuple(walk) if size <= memo.room else walk), size
+
+    memo = _Memo(_MEMO_LIMIT, points)
+    return memo
+
+
+# the process's one cache: every projective walk of this module and of
+# ``search`` reads it
+_projective = _projective_cache()
+
 # (field, dim_u, dim_v) -> (a _Memo of each basis-map row's values at the
-# points, a condition _Memo per point).  A condition entry maps an image
-# tuple to its point's (lead, row) pairs; an image tuple's length tells n.
+# points, a condition _Memo per point, the getter that cuts a flat map into
+# its dim_v rows).  A condition entry maps an image tuple to its point's
+# (lead, row) pairs; an image tuple's length tells n.
 _closure_memos: dict = {}
 
 # (field, dim_u, dim_v) -> _Memo {member's entry tuple: rank}.  The field,
@@ -123,32 +142,37 @@ def _closure_memo(field, dim_u, dim_v):
         q = field.q
         if (q**dim_u - 1) // (q - 1) * q**dim_u > _MEMO_LIMIT:
             return None
-        points = tuple(iter_projective(q, dim_u))
+        points = tuple(_projective[q, dim_u])
         at_points = Matrix(field, len(points), dim_u, [e for x in points for e in x])
         memo = _closure_memos[key] = (
             _Memo(_MEMO_LIMIT, lambda r: (at_points.apply(r), len(points))),
             [_Memo(_MEMO_LIMIT // len(points), partial(_point_conditions, field, x, dim_v))
-             for x in points])
+             for x in points],
+            # one slice's itemgetter returns the slice itself, not a 1-tuple
+            itemgetter(*[slice(b, b + dim_u) for b in range(0, dim_u * dim_v, dim_u)])
+            if dim_v > 1 else lambda fk: (fk,))
     return memo
 
 
 def _conditions(field, x, img, ipiv, v):
     """The rows c x^T, flattened, for the annihilators c of the span of
-    the reduced images (``img``, ``ipiv``) in GF(q)^v, as (lead, row)
-    pairs: each row scaled so that its first nonzero entry, at column
-    lead, is 1.  x is projective, so its first nonzero entry is 1."""
-    mul, inv_t = field.mul, field.inv_t
+    the images in GF(q)^v, as (lead, row) pairs, leads ascending.  The
+    images come reversed (their column i is GF(q)^v's column v - 1 - i)
+    and reduced (``img``, ``ipiv``), so pivots are taken from the right:
+    each annihilator is 0 before its own free column and 1 there, and
+    every row's first nonzero entry, at column lead, is 1, with no two
+    leads alike.  x is projective, so its first nonzero entry is 1."""
+    mul = field.mul
     p = len(x)
     j0 = x.index(1)
     zero = [0] * p
     cond = []
-    for c in null_basis(field, img, ipiv, v):
+    for c in reversed(null_basis(field, img, ipiv, v)):
+        c = c[::-1]
         i0 = next(i for i, ci in enumerate(c) if ci)
-        s = inv_t[c[i0]]
         row = []
         for ci in c:
             if ci:
-                ci = mul(ci, s)
                 row.extend(x if ci == 1 else [mul(ci, xj) for xj in x])
             else:
                 row.extend(zero)
@@ -157,8 +181,10 @@ def _conditions(field, x, img, ipiv, v):
 
 
 def _point_conditions(field, x, v, images):
-    """(``_conditions`` at x for the n*v ``images``, the values both hold)."""
-    img, ipiv = kernels.row_reduce(images, len(images) // v, v, field)
+    """(``_conditions`` at x for the n*v ``images``, the values both hold).
+    The flat tuple reversed holds each image reversed, the maps in reverse
+    order, which does not change their span."""
+    img, ipiv = kernels.row_reduce(images[::-1], len(images) // v, v, field)
     return (_conditions(field, x, img, ipiv, v),
             len(images) + (v - len(ipiv)) * len(x) * v)
 
@@ -171,9 +197,11 @@ def closure_system(field, dim_u, dim_v, flats):
 
     S is the span of the independent flat row-major entry tuples
     ``flats``.  For each projective x, in lexicographic order, the images
-    f_k(x) are reduced and every annihilator c of S(x) gives the condition
-    c . g(x) = 0 on the unknown g, whose row is c x^T flattened.  Each row
-    is inserted into the echelon (``kernels.echelon_insert``).  S lies in
+    f_k(x) are reduced, pivots taken from the right, and every annihilator
+    c of S(x) gives the condition c . g(x) = 0 on the unknown g, whose row
+    is c x^T flattened.  Each row is inserted into the echelon
+    (``kernels.echelon_insert``); one point's rows have distinct leads
+    (``_conditions``), so none is reduced against another.  S lies in
     R(S), so once the rank reaches dim_u*dim_v - n the system forces
     R(S) = S and the scan stops, possibly partway through a point's rows.
     A caller that needs R(S) as a null space reduces the echelon once
@@ -182,8 +210,11 @@ def closure_system(field, dim_u, dim_v, flats):
     The conditions at x depend only on x and the image tuple, so a shape
     may keep each basis-map row's values at every point and each (point,
     image tuple)'s condition rows in a per-process memo (``_closure_memo``):
-    a candidate then costs one lookup per point, in one lazy stream of rows
-    read only up to the early exit.  n = 0 keeps none.
+    a candidate then costs one lookup per basis-map row, its rows read
+    through the memo's one itemgetter, and one per point, in one lazy
+    stream of rows read only up to the early exit.  n = 0 keeps none.
+    The points come from the per-process projective cache
+    (``_projective``), memo or not.
     """
     p, v = dim_u, dim_v
     width = p * v
@@ -195,17 +226,18 @@ def closure_system(field, dim_u, dim_v, flats):
     insert = kernels.echelon_insert
     memo = _closure_memo(field, p, v) if n else None
     if memo is not None:
-        values, known = memo
-        cols = [values[fk[b:b + p]] for fk in flats for b in range(0, width, p)]
+        values, known, cut = memo
+        cols = [values[r] for fk in flats for r in cut(fk)]
         insert(kept, chain.from_iterable(map(getitem, known, zip(*cols))),
                target, field)
         return kept
     # No memo: the same steps, computed afresh at each point.
     add, mul = field.add, field.mul
-    # the nonzero (column, entry) pairs of each row of each basis map
+    # the nonzero (column, entry) pairs of each row of each basis map, in
+    # reverse: the images come reversed, as ``_conditions`` takes them
     maprows = [[(j, e) for j, e in enumerate(fk[b:b + p]) if e]
-               for fk in flats for b in range(0, width, p)]
-    for x in iter_projective(field.q, p):
+               for fk in reversed(flats) for b in range(width - p, -1, -p)]
+    for x in _projective[field.q, p]:
         images = []
         for r in maprows:
             s = 0
@@ -236,18 +268,25 @@ def rank_walk(field, dim_u, dim_v, flats, coeff_vectors, offset=None):
     Each process keeps one rank memo per shape (field, dim_u, dim_v),
     keyed by the entry tuple and bounded like every memo (``_Memo``): a
     member is reduced at most once however many spaces or cosets hold it.
+    A basis map's nonzero (index, entry) pairs are listed the first time
+    a member needs that map, so a walk that stops early never lists the
+    maps it did not reach.  Projective coefficients are best passed as
+    the cached tuple ``_projective[q, n]``, which is not rebuilt per walk.
     """
     start = [0] * (dim_u * dim_v) if offset is None else list(offset)
     add, mul = field.add, field.mul
-    nonzero = [[(t, e) for t, e in enumerate(fk) if e] for fk in flats]
+    nonzero = [None] * len(flats)
     ranks = _rank_memos.get((field, dim_u, dim_v))
     if ranks is None:
         ranks = _rank_memos[(field, dim_u, dim_v)] = _Memo(_MEMO_LIMIT, lambda key: (
             len(kernels.row_reduce(key, dim_v, dim_u, field)[1]), len(key)))
     for coeffs in coeff_vectors:
         member = start[:]
-        for c, fk in zip(coeffs, nonzero):
+        for k, c in enumerate(coeffs):
             if c:
+                fk = nonzero[k]
+                if fk is None:
+                    fk = nonzero[k] = [(t, e) for t, e in enumerate(flats[k]) if e]
                 for t, e in fk:
                     if c != 1:
                         e = mul(c, e)
@@ -397,7 +436,7 @@ class OperatorSpace:
         _guard_points(self.field.q, self.n, "rank scan")
         dist, best, (witness, _, _) = walk_profile(rank_walk(
             self.field, self.dim_u, self.dim_v, [m.entries for m in self.basis],
-            iter_projective(self.field.q, self.n)))
+            _projective[self.field.q, self.n]))
         result = (dist, best, witness)
         self._cache["rank_scan"] = result
         return result
@@ -416,7 +455,7 @@ class OperatorSpace:
         """Whether every vector is annihilated by some nonzero member."""
         n = self.n
         _guard_points(self.field.q, self.dim_u, "local dependence")
-        for x in iter_projective(self.field.q, self.dim_u):
+        for x in _projective[self.field.q, self.dim_u]:
             if len(self.eval_space(x)) >= n:
                 return False
         return True

@@ -37,8 +37,8 @@ from operator import itemgetter
 
 from .errors import GuardExceeded, TheoremViolation
 from .field import FieldSpec, field_make
-from .matrix import Matrix, iter_projective, rref_rows
-from .opspace import (OperatorSpace, _guard_points, _guard_system,
+from .matrix import Matrix, rref_rows
+from .opspace import (OperatorSpace, _guard_points, _guard_system, _projective,
                       closure_system, default_guard, hyperplane_lld_check,
                       rank_walk)
 
@@ -197,7 +197,7 @@ def _mrk(field, dim_u: int, dim_v: int, rows) -> int:
     at the first rank-1 member: no nonzero member has a smaller rank."""
     best = None
     for _, _, r in rank_walk(field, dim_u, dim_v, rows,
-                             iter_projective(field.q, len(rows))):
+                             _projective[field.q, len(rows)]):
         if best is None or r < best:
             best = r
             if r == 1:

@@ -318,6 +318,25 @@ def test_trace_repeated_rank_exit_2():
     assert err.startswith("error: rank 1 appears twice") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("q", ["6", "12", "1000000", str((2**61 - 1) * (2**89 - 1))])
+def test_trace_q_not_a_prime_power_exit_2(q):
+    # the profile sums to q^n, so only q's factors refuse the request, in
+    # search's words; trace has no bound on q to build a field under
+    code, out, err = run_cli(["trace", "--q", q, "--p", "2", "--n", "1",
+                              "--profile", f"0:1,1:{int(q) - 1}"])
+    assert (code, out, err) == (2, "", f"error: {q} is not a prime power\n")
+    if int(q) < 100:
+        assert run_cli(["search", "--q", q, "--dim-u", "2", "--dim-v", "2",
+                        "--n", "1"])[1:] == ("", err)
+
+
+@pytest.mark.parametrize("q", [2**16 + 1, 3**50, 2**127 - 1, (2**89 - 1)**3])
+def test_trace_takes_prime_powers_past_the_field_bound(q):
+    code, out, _ = run_cli(["trace", "--q", str(q), "--p", "2", "--n", "1",
+                            "--profile", f"0:1,1:{q - 1}"])
+    assert code == 0 and json.loads(out)["q"] == q
+
+
 @pytest.mark.parametrize("profile", [",", " , ,", ""])
 def test_trace_empty_profile_exit_2(profile):
     code, out, err = run_cli(["trace", "--q", "2", "--p", "3", "--n", "1",

@@ -2,9 +2,11 @@
 
 Every request ends in a documented exit code (0, 2, 3, 4 or 5; argparse's
 usage errors exit 2 through SystemExit), lets no exception out of ``main``,
-writes no traceback, and a report from an exit 0 parses as JSON.  The
-process guard is low and dimensions are drawn small or far past every
-bound, never in between, so each request is refused or finishes at once.
+writes no traceback, and a report from an exit 0 parses as JSON.  Each
+request runs under a drawn REFLEXFF_GUARD: unset, low, or malformed.  The
+guard a search walks under is low (with the variable unset, a ``--guard``
+flag sets it), and dimensions are drawn small or far past every bound,
+never in between, so each request is refused or finishes at once.
 """
 
 import contextlib
@@ -107,14 +109,21 @@ profile = st.one_of(
                      "1:1,1:1", f"0:{2**70}", ","]))
 
 
+# REFLEXFF_GUARD: low, unset (None), or refused (exit 2 where it is read);
+# hypothesis leans to the first
+GUARDS = ["2000", None, "1", "8", "0", "-5", "junk"]
+
+
 @st.composite
 def request(draw, command):
-    """(argv, space file, witness file); MISSING for a file not written."""
+    """(argv, space file, witness file, REFLEXFF_GUARD); MISSING for a file
+    not written, None for the variable unset."""
+    guard = draw(st.sampled_from(GUARDS))
     if command in ("analyze", "closure", "mrk"):
-        return [command, "s.json", *draw(tail())], draw(spaces), MISSING
+        return [command, "s.json", *draw(tail())], draw(spaces), MISSING, guard
     if command == "census":
         return (["census", "s.json", "g.json", *draw(tail())], draw(spaces),
-                draw(rarely(st.sampled_from(ODD), matrix(2, 2, top=2))))
+                draw(rarely(st.sampled_from(ODD), matrix(2, 2, top=2))), guard)
     if command == "trace":
         q, p, n = draw(flag(2, 3, 4, 6)), draw(flag(1, 2, 3)), draw(flag(1, 2))
         if draw(st.booleans()) and {q, p, n} <= {"1", "2", "3", "4", "6"}:
@@ -132,17 +141,21 @@ def request(draw, command):
     elif command == "search":
         argv = ["search", "--q", draw(flag(2, 3, 4, 6)),
                 "--dim-u", draw(flag(1, 2, 3)), "--dim-v", draw(flag(1, 2, 3)),
-                "--n", draw(flag(0, 1, 2, 3)), "--jobs", "1"]
+                "--n", draw(flag(0, 1, 2, 3)),
+                "--jobs", draw(st.sampled_from(["1", "2", "0"]))]
         if draw(st.booleans()):
             argv += ["--mode", "random", "--samples", draw(flag(1, 2, 3)),
                      "--seed", draw(flag(0, 7))]
-        argv += draw(st.lists(st.sampled_from(
-            ["--extremal", "--deep-checks", "--guard=1", "--guard=20", "--guard=0"]),
-            max_size=2, unique=True))
+        flags = ["--guard=1", "--guard=20", "--guard=0"]
+        argv += draw(st.lists(st.sampled_from(["--extremal", "--deep-checks", *flags]),
+                              max_size=2, unique=True))
+        if guard is None and not set(flags) & set(argv):
+            # the default guard, 10^7, admits slices of millions of spaces
+            argv.append(draw(st.sampled_from(flags)))
     else:
         argv = ["construct", "regular-rep", "--p", draw(flag(2, 3, 4)),
                 "--n", draw(flag(1, 2, 3))]
-    return argv + draw(tail()), MISSING, MISSING
+    return argv + draw(tail()), MISSING, MISSING, guard
 
 
 COMMANDS = ["analyze", "closure", "mrk", "census", "trace", "search", "construct"]
@@ -154,12 +167,18 @@ COMMANDS = ["analyze", "closure", "mrk", "census", "trace", "search", "construct
 # an OverflowError once escaped main here: no machine index holds dim_v
 @example((["closure", "s.json"],
           {"field": {"p": 2, "k": 2}, "dim_u": 3, "dim_v": 2**70, "basis": []},
-          MISSING))
+          MISSING, "2000"))
+# a pooled exhaustive search with REFLEXFF_GUARD unset
+@example((["search", "--q", "2", "--dim-u", "2", "--dim-v", "1", "--n", "1",
+           "--jobs", "2", "--guard=20"], MISSING, MISSING, None))
 def test_cli_requests_keep_the_exit_contract(tmp_path, monkeypatch, req):
     # reports, witness files and any violation dump go to tmp_path
-    monkeypatch.setenv("REFLEXFF_GUARD", "2000")
+    argv, space_json, g_json, guard = req
+    if guard is None:
+        monkeypatch.delenv("REFLEXFF_GUARD", raising=False)
+    else:
+        monkeypatch.setenv("REFLEXFF_GUARD", guard)
     monkeypatch.chdir(tmp_path)
-    argv, space_json, g_json = req
     for name, body in (("s.json", space_json), ("g.json", g_json),
                        ("out.json", MISSING)):
         path = tmp_path / name

@@ -24,9 +24,9 @@ from reflexff import (
     opspace_make,
     rref_rows,
 )
-from reflexff import kernels, opspace
+from reflexff import kernels, opspace, search
 from reflexff.field import FieldSpec
-from reflexff.matrix import iter_projective, null_basis
+from reflexff.matrix import iter_projective, iter_vectors, null_basis
 from reflexff.opspace import closure_system
 from reflexff.search import _mrk
 from oracles import brute_closure_set, duality_closure_set, space_element_set
@@ -58,6 +58,9 @@ def check_space(space):
     (3, 2, 2, 2, 130),
     (2, 2, 3, 3, 1395),
     (4, 2, 2, 2, 357),
+    # dim_v = 1: the shape memo cuts each map into one row
+    (2, 1, 3, 2, 7),
+    (3, 1, 2, 1, 4),
 ])
 def test_slice_matches_reference(q, dim_v, dim_u, n, population):
     f = field_from_order(q)
@@ -252,8 +255,9 @@ def test_memo_stays_within_its_bound_on_the_gf3_slice():
     f = field_from_order(3)
     report = exhaustive_verify(SearchParams(field=f, dim_u=3, dim_v=2, n=2))
     assert report.spaces_examined == 11011
-    values, known = opspace._closure_memos[(f, 3, 2)]
+    values, known, cut = opspace._closure_memos[(f, 3, 2)]
     assert len(known) == 13
+    assert cut(tuple(range(6))) == ((0, 1, 2), (3, 4, 5))
     assert len(values) <= 3**3
     # each point's condition memo counts the values of its image tuples
     # and condition rows against its share of the bound
@@ -439,3 +443,164 @@ def small_spaces(draw):
 def test_duality_oracle_drawn(space):
     dual = duality_closure_set(space)
     assert dual == space_element_set(space.reflexive_closure())
+
+
+def check_point_rows(f, x, v, images, cond):
+    """One point's condition rows: distinct leads, each row 0 before its
+    lead and 1 there, each c x^T for an annihilator c of the images, and
+    as many as the images' nullity."""
+    p, j0 = len(x), x.index(1)
+    leads = [lead for lead, _ in cond]
+    assert len(set(leads)) == len(leads)
+    for lead, row in cond:
+        assert row[lead] == 1 and not any(row[:lead])
+        c = [row[i * p + j0] for i in range(v)]
+        assert row == tuple(f.mul(ci, xj) for ci in c for xj in x)
+        for b in range(0, len(images), v):
+            total = 0
+            for ci, y in zip(c, images[b:b + v]):
+                total = f.add(total, f.mul(ci, y))
+            assert total == 0
+    rank = len(rref_rows(f, [images[b:b + v] for b in range(0, len(images), v)],
+                         width=v)[0]) if images else 0
+    assert len(cond) == v - rank
+
+
+@st.composite
+def point_images(draw):
+    q = draw(st.sampled_from([2, 3, 4, 5, 257]))
+    dim_u, dim_v = draw(st.integers(1, 3)), draw(st.integers(1, 8))
+    n = draw(st.integers(1, dim_v + 1))
+    x = draw(st.sampled_from(list(iter_projective(q, dim_u)) if q < 10 else
+                             [(1,) * dim_u, (0,) * (dim_u - 1) + (1,)]))
+    # low-rank images now and then: repeated and zero rows
+    rows = draw(st.lists(st.one_of(
+        st.tuples(*[st.integers(0, q - 1)] * dim_v), st.just((0,) * dim_v)),
+        min_size=n, max_size=n))
+    if n > 1 and draw(st.booleans()):
+        rows[-1] = rows[0]
+    return field_from_order(q), x, dim_v, tuple(e for r in rows for e in r)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(point_images())
+def test_each_points_rows_have_distinct_leads(case):
+    f, x, v, images = case
+    cond, _ = opspace._point_conditions(f, x, v, images)
+    check_point_rows(f, x, v, images, cond)
+
+
+@pytest.mark.parametrize("dim_v", [3, 5, 8])
+def test_memo_free_points_rows_have_distinct_leads(monkeypatch, dim_v):
+    # GF(257) 2 x dim_v keeps no memo: each point's rows reach the
+    # insertion in one call, from the reversed images of that loop
+    f = field_from_order(257)
+    rng = random.Random(dim_v)
+    calls = []
+    insert = kernels.echelon_insert
+    monkeypatch.setattr(kernels, "echelon_insert", lambda kept, rows, stop, field: (
+        calls.append(rows), insert(kept, rows, stop, field))[1])
+    for space in [_random_space(f, 2, dim_v, 2, rng), _embedded_pair(f, 2, dim_v, rng)]:
+        calls.clear()
+        assert system_closure(space) == reference_closure_basis(space)
+        maps = [Matrix(f, dim_v, 2, m) for m in space.canonical_basis()]
+        images = ((x, tuple(e for m in maps for e in m.apply(x)))
+                  for x in iter_projective(257, 2))
+        # the loop inserts the rows of each point whose images do not span
+        with_rows = ((x, img) for x, img in images if len(rref_rows(
+            f, [img[:dim_v], img[dim_v:]], width=dim_v)[0]) < dim_v)
+        for cond, (x, img) in zip(calls, with_rows):
+            check_point_rows(f, x, dim_v, img, cond)
+        assert calls
+
+
+def test_projective_cache_keeps_what_fits_in_order(monkeypatch):
+    # at a bound of 40 values, GF(2)^3 (7 points, 21 values) and GF(3)^2
+    # (4 points, 8 values) are kept; GF(2)^4 (15 points, 60 values) passes
+    # it, so it is walked afresh each time and never stored
+    monkeypatch.setattr(opspace, "_MEMO_LIMIT", 40)
+    cache = opspace._projective_cache()
+    monkeypatch.setattr(opspace, "_projective", cache)
+    monkeypatch.setattr(search, "_projective", cache)
+    for key in [(2, 3), (3, 2), (2, 4), (2, 3), (2, 4)]:
+        points = cache[key]
+        assert list(points) == list(iter_projective(*key))
+        assert isinstance(points, tuple) == (key != (2, 4))
+    assert set(cache) == {(2, 3), (3, 2)} and cache.room == 40 - 21 - 8
+    # GF(2)^2 (3 points, 6 values) fits the 11 left; then GF(3)^3 (39) does not
+    assert cache[2, 2] == tuple(iter_projective(2, 2)) and cache.room == 5
+    assert not isinstance(cache[3, 3], tuple) and (3, 3) not in cache
+    # the walks read the cache, kept or not
+    f = field_from_order(2)
+    for n in (3, 4):
+        space = _random_space(f, 2, 3, n, random.Random(n))
+        assert (space.rank_distribution(), *space.mrk()) == reference_rank_scan(space)
+        assert _mrk(f, 2, 3, space.canonical_basis()) == space.mrk()[0]
+    assert set(cache) == {(2, 3), (3, 2), (2, 2)}
+
+
+class _Unread(tuple):
+    """A basis map that fails the test if the walk reads its entries."""
+
+    def __iter__(self):
+        raise AssertionError("a basis map no coefficient uses was read")
+
+
+def eager_walk(f, dim_u, dim_v, flats, coeff_vectors, offset):
+    """``rank_walk``'s (coefficients, entries, rank) triples, each member
+    built densely and ranked by mat_rank."""
+    for coeffs in coeff_vectors:
+        entries = list(offset)
+        for c, fk in zip(coeffs, flats):
+            entries = [f.add(e, f.mul(c, a)) for e, a in zip(entries, fk)]
+        yield coeffs, entries, mat_rank(Matrix(f, dim_v, dim_u, entries))
+
+
+def check_walks(f, dim_u, dim_v, flats, offset):
+    """A projective walk on the cached tuple and a coset walk, as
+    ``iter_projective`` and ``iter_vectors`` give their coefficients,
+    against ``eager_walk``."""
+    q, n = f.q, len(flats)
+    zero = (0,) * (dim_u * dim_v)
+    for coeffs, want_coeffs, off in (
+            (opspace._projective[q, n], iter_projective(q, n), zero),
+            (iter_vectors(q, n), iter_vectors(q, n), offset)):
+        assert (list(opspace.rank_walk(f, dim_u, dim_v, flats, coeffs, off))
+                == list(eager_walk(f, dim_u, dim_v, flats, want_coeffs, off)))
+
+
+@pytest.mark.parametrize("q,dim_u,dim_v,n,stride", [
+    (2, 3, 2, 3, 1),    # exhaustive-gf2: every space of the slice
+    (3, 3, 2, 2, 7),    # exhaustive-gf3: every 7th of its 11,011 spaces
+])
+def test_rank_walk_matches_eager_members_on_the_slices(q, dim_u, dim_v, n, stride):
+    f = field_from_order(q)
+    rng = random.Random(q)
+    slice_ = enumerate_subspaces(q, dim_u * dim_v, n)
+    for rows in itertools.islice(slice_, 0, None, stride):
+        offset = tuple(rng.randrange(q) for _ in range(dim_u * dim_v))
+        check_walks(f, dim_u, dim_v, rows, offset)
+
+
+def test_rank_walk_matches_eager_members_over_gf512():
+    f = field_from_order(512)
+    rng = random.Random(512)
+    for n in (1, 2):
+        space = _random_space(f, 2, 2, n, rng)
+        flats = [m.entries for m in space.basis]
+        if n == 1:  # a coset of 512 members; n = 2 would walk 512^2
+            check_walks(f, 2, 2, flats, tuple(rng.randrange(512) for _ in range(4)))
+        else:
+            assert (list(opspace.rank_walk(f, 2, 2, flats, opspace._projective[512, 2]))
+                    == list(eager_walk(f, 2, 2, flats, iter_projective(512, 2), (0,) * 4)))
+
+
+def test_rank_walk_builds_a_maps_rows_only_when_a_member_needs_them():
+    # members (0, 1) and (0, 2) use only the second map: the first is
+    # never read
+    f = field_from_order(3)
+    flats = [_Unread((1, 0, 0, 1)), (0, 1, 0, 0)]
+    walk = list(opspace.rank_walk(f, 2, 2, flats, [(0, 1), (0, 2)]))
+    assert walk == [((0, 1), [0, 1, 0, 0], 1), ((0, 2), [0, 2, 0, 0], 1)]
+    with pytest.raises(AssertionError, match="no coefficient uses"):
+        list(opspace.rank_walk(f, 2, 2, flats, [(0, 1), (1, 0)]))

@@ -208,6 +208,26 @@ def test_field_from_order_splits_like_brute_force(monkeypatch):
             assert field_from_order(q) == want, q
 
 
+def test_is_prime_power_without_factoring():
+    # below 2^16 against the split of field_from_order; past it, on powers
+    # of large primes (Mersenne) and on products of them with no factor
+    # below 2^8, which neither trial division nor a perfect-power root
+    # splits
+    for q in range(2, 20000):
+        assert field.is_prime_power(q) == (len(field._prime_factors(q)) == 1), q
+    mersenne = [2**61 - 1, 2**89 - 1, 2**127 - 1, 2**521 - 1]
+    for m in mersenne:
+        for k in (1, 2, 3, 5):
+            assert field.is_prime_power(m**k)
+            assert not field.is_prime_power(m**k * 257)
+    for a, b in zip(mersenne, mersenne[1:]):
+        assert not field.is_prime_power(a * b)
+        assert not field.is_prime_power((a * b) ** 2)
+    # the least strong pseudoprime to all of _MR_BASES bounds the exact range
+    assert field._MR_EXACT == 1287836182261 * 2575672364521
+    assert field.is_prime_power(1287836182261) and field.is_prime_power(2575672364521)
+
+
 def test_field_value_semantics_and_pickle():
     import pickle
 
