@@ -12,10 +12,10 @@ Exit codes are a stable contract:
   closure walk of an n = 0 slice's zero space, a census coset, the point or
   member walk of each random search sample, the n*dim_u*dim_v entries each
   random search sample draws (bounded by REFLEXFF_GUARD or 10^7, whatever
-  --guard says), the walks of a single space (analyze, closure, mrk), or a
-  closure system whose shape admits (dim_u*dim_v)^2 > 2^24 entries (a
-  fixed bound), 10 rank-bound violation, 130 interrupted (SIGINT, as from
-  Ctrl-C).
+  --guard says), a random search's sample count, the walks of a single
+  space (analyze, closure, mrk), or a closure system whose shape admits
+  (dim_u*dim_v)^2 > 2^24 entries (a fixed bound), 10 rank-bound violation,
+  130 interrupted (SIGINT, as from Ctrl-C).
 Reports go to stdout as pure JSON, or to --output; --pretty renders analyze,
 census, trace and search as a table instead.  Diagnostics go to stderr, and
 nowhere when the process started with fd 2 closed.
@@ -271,9 +271,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--guard", type=int, default=None,
-                   help="bound on the subspaces enumerated, or on each random "
-                        "sample's points and members (default 10^7 or "
-                        "REFLEXFF_GUARD)")
+                   help="bound on the subspaces enumerated, or on a random "
+                        "search's sample count and each sample's points and "
+                        "members (default 10^7 or REFLEXFF_GUARD)")
     p.add_argument("--extremal", action="store_true",
                    help="collect every maximum-mrk witness")
     p.add_argument("--deep-checks", action="store_true", dest="deep_checks",

@@ -14,11 +14,16 @@ from .field import FieldSpec
 
 
 def _check_entries(field: FieldSpec, entries):
-    """ValueError unless every entry is an int encoding of a GF(q) element."""
+    """ValueError unless every entry is an int encoding of a GF(q) element;
+    returns the tuple ``entries`` with a bool (any int subclass) made an int."""
     q = field.q
+    exact = True
     for e in entries:
-        if not isinstance(e, int) or e < 0 or e >= q:
-            raise ValueError(f"entry {e!r} outside [0, {q})")
+        if type(e) is not int or e < 0 or e >= q:
+            if not isinstance(e, int) or e < 0 or e >= q:
+                raise ValueError(f"entry {e!r} outside [0, {q})")
+            exact = False
+    return entries if exact else tuple(map(int, entries))
 
 
 class Matrix:
@@ -34,11 +39,10 @@ class Matrix:
             raise ValueError(
                 f"expected {rows * cols} entries for a {rows}x{cols} matrix, "
                 f"got {len(entries)}")
-        _check_entries(field, entries)
         self.field = field
         self.rows = rows
         self.cols = cols
-        self.entries = entries
+        self.entries = _check_entries(field, entries)
 
     @classmethod
     def zero(cls, field, rows, cols):
@@ -175,6 +179,17 @@ def null_basis(field, ent, piv, cols) -> tuple:
             v[pc] = neg[ent[i * cols + j]]
         basis.append(tuple(v))
     return tuple(basis)
+
+
+def null_rref(field, ent, rows, cols) -> tuple:
+    """Canonical RREF basis of the null space of a flat rows x cols matrix,
+    in one reduction: ``ent[::-1]`` reverses each row and the row order,
+    keeping the null space, so pivots come from the right, and its
+    ``null_basis`` read backwards (vectors and their order) is in RREF."""
+    red, piv = kernels.row_reduce(ent[::-1], rows, cols, field)
+    if len(piv) == cols:
+        return ()
+    return tuple(v[::-1] for v in reversed(null_basis(field, red, piv, cols)))
 
 
 def rref_rows(field, vectors, width=None):

@@ -30,7 +30,7 @@ from .matrix import (  # noqa: F401  (mat_kernel, mat_rank: perfbench/tracer.py 
     iter_projective,
     mat_kernel,
     mat_rank,
-    null_basis,
+    null_rref,
     rref_rows,
 )
 
@@ -154,39 +154,29 @@ def _closure_memo(field, dim_u, dim_v):
     return memo
 
 
-def _conditions(field, x, img, ipiv, v):
-    """The rows c x^T, flattened, for the annihilators c of the span of
-    the images in GF(q)^v, as (lead, row) pairs, leads ascending.  The
-    images come reversed (their column i is GF(q)^v's column v - 1 - i)
-    and reduced (``img``, ``ipiv``), so pivots are taken from the right:
-    each annihilator is 0 before its own free column and 1 there, and
-    every row's first nonzero entry, at column lead, is 1, with no two
-    leads alike.  x is projective, so its first nonzero entry is 1."""
+def _point_conditions(field, x, v, images):
+    """(the rows c x^T, flattened, for the annihilators c of the n*v flat
+    ``images`` f_k(x), the values they hold), as (lead, row) pairs.  Read
+    as an RREF basis (``null_rref``), each c is 0 before its own free
+    column and 1 there, and x's first nonzero entry is 1, so each row's
+    lead entry is 1, leads ascending and distinct."""
+    annihilators = null_rref(field, images, len(images) // v, v)
+    if not annihilators:
+        return (), len(images)
     mul = field.mul
     p = len(x)
     j0 = x.index(1)
     zero = [0] * p
     cond = []
-    for c in reversed(null_basis(field, img, ipiv, v)):
-        c = c[::-1]
-        i0 = next(i for i, ci in enumerate(c) if ci)
+    for c in annihilators:
         row = []
         for ci in c:
             if ci:
                 row.extend(x if ci == 1 else [mul(ci, xj) for xj in x])
             else:
                 row.extend(zero)
-        cond.append((i0 * p + j0, tuple(row)))
-    return tuple(cond)
-
-
-def _point_conditions(field, x, v, images):
-    """(``_conditions`` at x for the n*v ``images``, the values both hold).
-    The flat tuple reversed holds each image reversed, the maps in reverse
-    order, which does not change their span."""
-    img, ipiv = kernels.row_reduce(images[::-1], len(images) // v, v, field)
-    return (_conditions(field, x, img, ipiv, v),
-            len(images) + (v - len(ipiv)) * len(x) * v)
+        cond.append((c.index(1) * p + j0, tuple(row)))
+    return tuple(cond), len(images) + len(cond) * p * v
 
 
 def closure_system(field, dim_u, dim_v, flats):
@@ -196,15 +186,15 @@ def closure_system(field, dim_u, dim_v, flats):
     is 1.  R(S) is the echelon's null space, and its rank is its size.
 
     S is the span of the independent flat row-major entry tuples
-    ``flats``.  For each projective x, in lexicographic order, the images
-    f_k(x) are reduced, pivots taken from the right, and every annihilator
-    c of S(x) gives the condition c . g(x) = 0 on the unknown g, whose row
-    is c x^T flattened.  Each row is inserted into the echelon
-    (``kernels.echelon_insert``); one point's rows have distinct leads
-    (``_conditions``), so none is reduced against another.  S lies in
-    R(S), so once the rank reaches dim_u*dim_v - n the system forces
-    R(S) = S and the scan stops, possibly partway through a point's rows.
-    A caller that needs R(S) as a null space reduces the echelon once
+    ``flats``.  For each projective x, in lexicographic order, every
+    annihilator c of S(x) gives the condition c . g(x) = 0 on the unknown
+    g, whose row is c x^T flattened (``_point_conditions``, on both paths
+    below).  Each row is inserted into the echelon
+    (``kernels.echelon_insert``); one point's rows have distinct leads, so
+    none is reduced against another.  S lies in R(S), so once the rank
+    reaches dim_u*dim_v - n the system forces R(S) = S and the scan stops,
+    possibly partway through a point's rows.  A caller that needs R(S)
+    reads the echelon's null space in one reduction
     (``OperatorSpace.reflexive_closure``).
 
     The conditions at x depend only on x and the image tuple, so a shape
@@ -233,10 +223,9 @@ def closure_system(field, dim_u, dim_v, flats):
         return kept
     # No memo: the same steps, computed afresh at each point.
     add, mul = field.add, field.mul
-    # the nonzero (column, entry) pairs of each row of each basis map, in
-    # reverse: the images come reversed, as ``_conditions`` takes them
+    # the nonzero (column, entry) pairs of each row of each basis map
     maprows = [[(j, e) for j, e in enumerate(fk[b:b + p]) if e]
-               for fk in reversed(flats) for b in range(width - p, -1, -p)]
+               for fk in flats for b in range(0, width, p)]
     for x in _projective[field.q, p]:
         images = []
         for r in maprows:
@@ -247,9 +236,8 @@ def closure_system(field, dim_u, dim_v, flats):
                     t = e if xj == 1 else mul(e, xj)
                     s = add(s, t) if s else t
             images.append(s)
-        img, ipiv = kernels.row_reduce(images, n, v, field)
-        if len(ipiv) < v and insert(
-                kept, _conditions(field, x, img, ipiv, v), target, field) == target:
+        cond, _ = _point_conditions(field, x, v, images)
+        if cond and insert(kept, cond, target, field) == target:
             break
     return kept
 
@@ -398,9 +386,9 @@ class OperatorSpace:
 
         The conditions come from ``closure_system``: one forward echelon
         over the projective points, which stops as soon as its rank forces
-        R(S) = S; then S's own canonical basis is returned.  Otherwise the
-        echelon over all points is reduced once, and R(S) is its null
-        space.
+        R(S) = S; then S's own canonical basis is returned.  Otherwise R(S)
+        is the null space of the echelon over all points, read as an RREF
+        basis in one reduction (``null_rref``).
         """
         cached = self._cache.get("closure")
         if cached is not None:
@@ -415,9 +403,8 @@ class OperatorSpace:
         if len(kept) == width - self.n:
             rows = canon
         else:
-            ent, piv = kernels.row_reduce(
-                [e for row in kept.values() for e in row], len(kept), width, f)
-            rows, _ = rref_rows(f, null_basis(f, ent, piv, width), width=width)
+            rows = null_rref(f, [e for row in kept.values() for e in row],
+                             len(kept), width)
         closure = OperatorSpace(f, p, v, tuple(Matrix(f, v, p, g) for g in rows))
         self._cache["closure"] = closure
         return closure

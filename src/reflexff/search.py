@@ -298,8 +298,9 @@ def _search(params: SearchParams, mode: str, extremal: bool) -> SearchReport:
     A malformed mode, the other mode, a malformed shape, n, job count,
     guard or sample count raises ValueError, and a slice, its closure walk,
     a sample walk past the guard, a sample draw past the process guard
-    (``default_guard``) or a shape past the closure-system bound
-    (``opspace.SYSTEM_GUARD``) raises GuardExceeded, before any scan;
+    (``default_guard``), a shape past the closure-system bound
+    (``opspace.SYSTEM_GUARD``) or a sample count past the guard raises
+    GuardExceeded, before any scan;
     a broken rank bound raises TheoremViolation carrying the report."""
     if params.mode not in ("exhaustive", "random"):
         raise ValueError(
@@ -341,6 +342,9 @@ def _search(params: SearchParams, mode: str, extremal: bool) -> SearchReport:
     # a basis, like the closure system, has width ambient and at most
     # ambient rows
     _guard_system(params.dim_u, params.dim_v)
+    if sampled and params.samples > guard:
+        raise GuardExceeded(f"random search of {params.samples} samples "
+                            f"exceeds the guard {guard}")
     acc = (_run_random if sampled else _run_exhaustive)(params, ambient, extremal)
     if f.q > n >= 3:
         status = "holds" if acc.bad_2n3 is None else "violated"

@@ -504,6 +504,23 @@ def test_random_draw_past_the_process_guard_exit_5(monkeypatch, cli_child):
     assert code == 0 and json.loads(out)["spaces_examined"] == 1
 
 
+@pytest.mark.parametrize("samples", [str(10**6), str(2**70)], ids=["10^6", "2^70"])
+def test_random_sample_count_past_the_guard_exit_5(monkeypatch, cli_child, samples):
+    # each 1 x 1 sample walks one point and one member; the sample count
+    # alone passes the guard, and is refused before the first draw
+    monkeypatch.setenv("REFLEXFF_GUARD", "2000")
+    base = ["search", "--q", "2", "--dim-u", "1", "--dim-v", "1", "--n", "1",
+            "--mode", "random", "--samples"]
+    code, out, err = cli_child(base + [samples])
+    assert (code, out) == (5, "")
+    assert err == f"error: random search of {samples} samples exceeds the guard 2000\n"
+    # --guard bounds it first; a count equal to the guard still runs
+    code, out, err = cli_child(base + ["2000", "--guard", "1999"])
+    assert (code, out) == (5, "") and err.startswith("error: random search of 2000")
+    code, out, _ = cli_child(base + ["2000"])
+    assert code == 0 and json.loads(out)["spaces_examined"] == 2000
+
+
 def _wide_space(tmp_path, dim_v, basis):
     path = tmp_path / "wide.json"
     path.write_text(dumps({"field": {"p": 2, "k": 1}, "dim_u": 1,

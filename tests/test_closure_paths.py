@@ -493,7 +493,7 @@ def test_each_points_rows_have_distinct_leads(case):
 @pytest.mark.parametrize("dim_v", [3, 5, 8])
 def test_memo_free_points_rows_have_distinct_leads(monkeypatch, dim_v):
     # GF(257) 2 x dim_v keeps no memo: each point's rows reach the
-    # insertion in one call, from the reversed images of that loop
+    # insertion in one call, from that loop's images via _point_conditions
     f = field_from_order(257)
     rng = random.Random(dim_v)
     calls = []

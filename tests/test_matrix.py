@@ -15,7 +15,8 @@ from reflexff import (
     mat_kernel,
     mat_rank,
 )
-from reflexff import kernels
+from reflexff import field_from_order, kernels, rref_rows
+from reflexff.matrix import null_basis, null_rref
 from oracles import brute_kernel_count, brute_rank
 
 FIELDS = {2: field_make(2), 3: field_make(3), 4: field_make(2, 2), 5: field_make(5)}
@@ -51,6 +52,39 @@ def test_kernel_examples():
     m = Matrix(gf3, 2, 2, (1, 2, 2, 1))
     assert mat_kernel(m) == ((1, 1),)
     assert m.apply((1, 1)) == (0, 0)
+
+
+def _null_rref_cases(rng, count):
+    """``count`` seeded flat matrices, 0-7 rows by 0-8 columns, over table
+    fields and four larger ones, at random density, some rows zero, some
+    repeated and some a combination of two others."""
+    fields = [field_from_order(q) for q in (2, 3, 4, 5, 7, 8, 9, 16, 256,
+                                             257, 512, 65521, 65536)]
+    for _ in range(count):
+        f = rng.choice(fields)
+        q, rows, cols = f.q, rng.randrange(8), rng.randrange(9)
+        density = rng.random()
+        m = [[rng.randrange(1, q) if rng.random() < density else 0
+              for _ in range(cols)] for _ in range(rows)]
+        for i in range(2, rows):
+            kind = rng.randrange(4)
+            if kind == 1:
+                m[i] = [0] * cols
+            elif kind == 2:
+                m[i] = list(m[rng.randrange(i)])
+            elif kind == 3:
+                a, b = rng.randrange(1, q), rng.randrange(q)
+                u, w = m[rng.randrange(i)], m[rng.randrange(i)]
+                m[i] = [f.add(f.mul(a, s), f.mul(b, t)) for s, t in zip(u, w)]
+        yield f, rows, cols, [e for r in m for e in r]
+
+
+def test_null_rref_matches_reduced_null_basis():
+    # one right-pivot reduction against reduce, null basis, reduce again
+    for f, rows, cols, ent in _null_rref_cases(random.Random(0), 5000):
+        red, piv = kernels.row_reduce(ent, rows, cols, f)
+        want, _ = rref_rows(f, null_basis(f, red, piv, cols), width=cols)
+        assert null_rref(f, ent, rows, cols) == want, (f, rows, cols, ent)
 
 
 @given(mats())
@@ -154,8 +188,9 @@ def test_entry_validation():
         Matrix(gf2, 1, 2, (0, 2))
     with pytest.raises(ValueError):
         Matrix(gf2, 2, 2, (0, 1, 1))
-    # a bool is an int here; only a JSON fragment rejects it
-    assert Matrix(gf2, 1, 2, (True, False)).entries == (1, 0)
+    # a bool is an int here, stored as one; only a JSON fragment rejects it
+    entries = Matrix(gf2, 1, 2, (True, False)).entries
+    assert entries == (1, 0) and list(map(type, entries)) == [int, int]
 
 
 @pytest.mark.parametrize("bad", [-1, 3, 1.5, "1", None])

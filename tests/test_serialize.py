@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from reflexff import (
     Matrix,
+    OperatorSpace,
     SearchParams,
     analyze,
     census_report,
@@ -35,6 +36,23 @@ def test_field_roundtrip():
         assert field_from_json(field_to_json(f)) == f
     assert field_to_json(field_make(2)) == {"p": 2, "k": 1}
     assert field_to_json(field_make(2, 2)) == {"p": 2, "k": 2, "modulus": [1, 1, 1]}
+
+
+@pytest.mark.parametrize("basis", [
+    [(1, 0, 0, 1)],                # reflexive: its closure is its own basis
+    [(1, 0, 0, 1), (0, 1, 1, 1)],  # GF(4) in 2x2 over GF(2): non-reflexive
+])
+def test_bool_entries_round_trip_as_ints(basis):
+    # a space built with bools writes the file an int-built one writes,
+    # that file loads, and both closures write the same bytes
+    gf2 = field_make(2)
+    spaces = [OperatorSpace(gf2, 2, 2, [Matrix(gf2, 2, 2, map(kind, m)) for m in basis])
+              for kind in (bool, int)]
+    text = dumps(space_to_json(spaces[0]))
+    assert text == dumps(space_to_json(spaces[1]))
+    assert space_from_json(json.loads(text)) == spaces[1]
+    closures = [dumps(space_to_json(s.reflexive_closure())) for s in spaces]
+    assert closures[0] == closures[1]
 
 
 def test_matrix_roundtrip():
