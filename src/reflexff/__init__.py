@@ -40,7 +40,6 @@ from .opspace import (
     OperatorSpace,
     analyze,
     hyperplane_lld_check,
-    opspace_make,
 )
 from .search import (
     SearchParams,

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field as dc_field
 
 from . import kernels
 from .errors import GuardExceeded, MembershipError
-from .field import is_prime_power
+from .field import order_split
 # mat_kernel and mat_rank stay bound here: perfbench/tracer.py wraps them by name
 from .matrix import Matrix, iter_vectors, mat_kernel, mat_rank  # noqa: F401
 from .opspace import OperatorSpace, default_guard, rank_walk, walk_profile
@@ -274,10 +274,10 @@ def proof_trace(q: int, p: int, n: int, profile: dict) -> TraceReport:
     exact integer (and rational) arithmetic; a failed required check means
     no coset with this profile can exist for a space whose nonzero members
     all have rank above 2n-2.  Outside the regime p >= 2n-1 no contradiction
-    is claimed.
+    is claimed.  q is checked first, by :func:`field.order_split` as search
+    checks it: a prime power up to 2^16, with no field built.
     """
-    if not isinstance(q, int) or q < 2:
-        raise ValueError("q must be an integer >= 2")
+    order_split(q)
     if not isinstance(p, int) or p < 1 or not isinstance(n, int) or n < 1:
         raise ValueError("p and n must be integers >= 1")
     profile = {int(k): int(v) for k, v in profile.items()}
@@ -299,10 +299,6 @@ def proof_trace(q: int, p: int, n: int, profile: dict) -> TraceReport:
     if (q - 1).bit_length() * (p + n) > 3 * limit:
         raise ValueError(f"p = {p} is too large: the report's numbers, near "
                          f"{q}^(p+n), could pass {limit} decimal digits")
-    # last, on a q of at most 3 * limit bits: q may pass the orders that
-    # field_from_order builds, so no field is built to test it
-    if not is_prime_power(q):
-        raise ValueError(f"{q} is not a prime power")
 
     n_exact = _incidence(q, p, profile)
     floor = q**n + q**p - 1

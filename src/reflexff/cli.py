@@ -4,8 +4,9 @@ Exit codes are a stable contract:
   0 success, 2 malformed input (including a malformed REFLEXFF_GUARD, a search
   with --dim-u, --dim-v, --jobs or --guard below 1, a trace profile that
   repeats a rank, a malformed --profile entry, a trace p whose report numbers
-  could pass Python's default limit on printed digits, a trace q that is not
-  a prime power, a field order above 2^16 and a JSON file nested too deep)
+  could pass Python's default limit on printed digits, a trace or search q
+  that is not a prime power or is above 2^16, a space file's field order
+  above 2^16 and a JSON file nested too deep)
   or a report that cannot be written (an unwritable --output, a closed
   stdout), 3 dependent basis, 4 census
   membership failure, 5 guard exceeded by an exhaustive search slice or the
@@ -255,14 +256,15 @@ def build_parser() -> argparse.ArgumentParser:
     command("census", cmd_census, "coset census for a space and a witness g",
             "space").add_argument("g", help="matrix file for the closure witness")
 
+    q_help = "field order: a prime power up to 2^16"
     p = command("trace", cmd_trace, "exact trace of the counting argument")
-    p.add_argument("--q", type=int, required=True)
+    p.add_argument("--q", type=int, required=True, help=q_help)
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--profile", required=True, help='rank profile "rank:count,..."')
 
     p = command("search", cmd_search, "verify the rank bound over a slice of spaces")
-    p.add_argument("--q", type=int, required=True, help="field order (prime power)")
+    p.add_argument("--q", type=int, required=True, help=q_help)
     p.add_argument("--dim-u", type=int, required=True, dest="dim_u")
     p.add_argument("--dim-v", type=int, required=True, dest="dim_v")
     p.add_argument("--n", type=int, required=True)

@@ -30,7 +30,6 @@ bytes.translate calls of the log bytes.
 
 from __future__ import annotations
 
-import math
 import operator
 import sys
 from array import array
@@ -55,66 +54,6 @@ def _prime_factors(n: int) -> dict[int, int]:
     if n > 1:
         out[n] = 1
     return out
-
-
-# Miller-Rabin to these bases decides primality exactly below _MR_EXACT
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-_MR_EXACT = 3317044064679887385961981
-
-
-def _root(q: int, k: int) -> int:
-    """floor(q^(1/k)) for q >= 1 and k >= 2, by Newton's method from a
-    float estimate raised past the root."""
-    e = math.log2(q) / k
-    s = max(0, int(e) - 30)
-    r = int(2 ** (e - s) + 2) << s
-    while True:
-        t = ((k - 1) * r + q // r ** (k - 1)) // k
-        if t >= r:
-            return r
-        r = t
-
-
-def is_prime_power(q: int) -> bool:
-    """Whether an integer q >= 2 is a power of a prime, decided without
-    building a field.
-
-    A prime factor below 2^8 decides at once (q must be a power of it),
-    and so does having none up to the square root of q.  Otherwise
-    q = r^k with r no perfect power, and q is a prime power exactly when r
-    is prime: Miller-Rabin to ``_MR_BASES`` decides that below
-    ``_MR_EXACT``.  Past it, where each base costs a modular power of r's
-    size, base 2 alone is tried, so a strong pseudoprime to base 2 would
-    pass."""
-    for d in range(2, 256):
-        if d * d > q:
-            return True
-        if q % d == 0:
-            while q % d == 0:
-                q //= d
-            return q == 1
-    # every prime factor of q passes 2^8, so a k-th root needs 8k bits
-    k = 2
-    while 8 * k < q.bit_length():
-        r = _root(q, k)
-        if r**k == q:
-            q = r
-        else:
-            k += 1
-    odd, s = q - 1, 0
-    while not odd & 1:
-        odd, s = odd >> 1, s + 1
-    for a in _MR_BASES if q < _MR_EXACT else _MR_BASES[:1]:
-        x = pow(a, odd, q)
-        if x == 1 or x == q - 1:
-            continue
-        for _ in range(s - 1):
-            x = x * x % q
-            if x == q - 1:
-                break
-        else:
-            return False
-    return True
 
 
 def _digits(e: int, p: int, width: int) -> list[int]:
@@ -451,8 +390,9 @@ def field_make(p: int, k: int = 1, modulus=None) -> FieldSpec:
     return f
 
 
-def field_from_order(q: int) -> FieldSpec:
-    """GF(q) with the default modulus; q must be a prime power."""
+def order_split(q: int) -> tuple[int, int]:
+    """(p, k) with q = p^k for a prime power q up to 2^16, else ValueError;
+    the cap comes first, so only a q of at most 16 bits is factored."""
     if not isinstance(q, int) or q < 2:
         raise ValueError(f"field order must be an integer >= 2, got {q!r}")
     if q > MAX_ORDER:
@@ -461,4 +401,9 @@ def field_from_order(q: int) -> FieldSpec:
     if len(factors) != 1:
         raise ValueError(f"{q} is not a prime power")
     [(p, k)] = factors.items()
-    return field_make(p, k)
+    return p, k
+
+
+def field_from_order(q: int) -> FieldSpec:
+    """GF(q) with the default modulus; q must pass :func:`order_split`."""
+    return field_make(*order_split(q))

@@ -469,11 +469,6 @@ class OperatorSpace:
             for m in self.basis]), qmap
 
 
-def opspace_make(field, dim_u, dim_v, basis) -> OperatorSpace:
-    """Validated operator space; rejects dependent basis lists."""
-    return OperatorSpace(field, dim_u, dim_v, basis)
-
-
 def hyperplane_lld_check(space: OperatorSpace, g: Matrix) -> bool:
     """Whether S + span{g} is locally linearly dependent; requires g not in S."""
     if space.contains(g):

@@ -21,7 +21,6 @@ from reflexff import (
     field_from_order,
     field_make,
     mat_rank,
-    opspace_make,
     rref_rows,
 )
 from reflexff import kernels, opspace, search
@@ -85,7 +84,7 @@ def _random_space(f, dim_u, dim_v, n, rng):
                         [rng.randrange(f.q) for _ in range(dim_u * dim_v)])
                  for _ in range(n)]
         try:
-            return opspace_make(f, dim_u, dim_v, basis)
+            return OperatorSpace(f, dim_u, dim_v, basis)
         except DependentBasisError:
             continue
 
@@ -102,7 +101,7 @@ def _nonreflexive_pair(f, rng):
     dimension 3 (P times the upper triangle times Q), mrk 1."""
     ident, e12 = Matrix.identity(f, 2), Matrix(f, 2, 2, (0, 1, 0, 0))
     p_mat, q_mat = _invertible(f, 2, rng), _invertible(f, 2, rng)
-    return opspace_make(f, 2, 2, [p_mat @ m @ q_mat for m in (ident, e12)])
+    return OperatorSpace(f, 2, 2, [p_mat @ m @ q_mat for m in (ident, e12)])
 
 
 @pytest.mark.parametrize("q", [256, 257, 512, 729])
@@ -195,7 +194,7 @@ def _embedded_pair(f, dim_u, dim_v, rng):
                                       for j in range(dim_u)])
              for cells in ({(0, 0), (1, 1)}, {(0, 1)})]
     p_mat, q_mat = _invertible(f, dim_v, rng), _invertible(f, dim_u, rng)
-    return opspace_make(f, dim_u, dim_v, [p_mat @ m @ q_mat for m in basis])
+    return OperatorSpace(f, dim_u, dim_v, [p_mat @ m @ q_mat for m in basis])
 
 
 def check_insertion(space, want):
@@ -303,7 +302,7 @@ def test_memo_keys_separate_fields(monkeypatch):
         # already RREF, so both fields key the same rows, whose values differ
         entries = [1] + [rng.randrange(2, 8) for _ in range(3)]
         for f in (gf8_a, gf8_b):
-            cases.append(opspace_make(f, 2, 2, [Matrix(f, 2, 2, entries)]))
+            cases.append(OperatorSpace(f, 2, 2, [Matrix(f, 2, 2, entries)]))
         for dim_u, dim_v in ((3, 2), (2, 3)):
             cases.append(_random_space(gf3, dim_u, dim_v, 2, rng))
     for space in cases:
@@ -377,7 +376,7 @@ def test_rank_memo_keys_separate_fields(monkeypatch):
         for f in (gf8_a, gf8_b):
             for basis in ([entries], [entries, other]):
                 try:
-                    space = opspace_make(f, 2, 2, [Matrix(f, 2, 2, b) for b in basis])
+                    space = OperatorSpace(f, 2, 2, [Matrix(f, 2, 2, b) for b in basis])
                 except DependentBasisError:
                     continue
                 dist, best, witness = reference_rank_scan(space)

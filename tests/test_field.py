@@ -188,44 +188,28 @@ def test_field_from_order():
             field_from_order(bad)
 
 
-def test_field_from_order_splits_like_brute_force(monkeypatch):
+def test_field_from_order_splits_like_brute_force():
+    # least[q] is q's least prime factor, by the sieve of Eratosthenes
+    top = 2**16 + 1
+    least = list(range(top))
+    for d in range(2, top):
+        if least[d] == d:
+            for m in range(d * d, top, d):
+                least[m] = min(least[m], d)
+
     def split(q):
-        # q's least divisor p > 1 is prime: q is a prime power iff only p divides it
-        p = next(d for d in range(2, q + 1) if q % d == 0)
-        k, rest = 0, q
+        p, k, rest = least[q], 0, q
         while rest % p == 0:
             k, rest = k + 1, rest // p
         return (p, k) if rest == 1 else None
 
     # the split alone, without building the fields
-    monkeypatch.setattr(field, "field_make", lambda p, k: (p, k))
-    for q in [*range(2, 4097), 65521, 65535, 65536]:
-        want = split(q)
-        if want is None:
-            with pytest.raises(ValueError, match=f"^{q} is not a prime power$"):
-                field_from_order(q)
-        else:
-            assert field_from_order(q) == want, q
-
-
-def test_is_prime_power_without_factoring():
-    # below 2^16 against the split of field_from_order; past it, on powers
-    # of large primes (Mersenne) and on products of them with no factor
-    # below 2^8, which neither trial division nor a perfect-power root
-    # splits
-    for q in range(2, 20000):
-        assert field.is_prime_power(q) == (len(field._prime_factors(q)) == 1), q
-    mersenne = [2**61 - 1, 2**89 - 1, 2**127 - 1, 2**521 - 1]
-    for m in mersenne:
-        for k in (1, 2, 3, 5):
-            assert field.is_prime_power(m**k)
-            assert not field.is_prime_power(m**k * 257)
-    for a, b in zip(mersenne, mersenne[1:]):
-        assert not field.is_prime_power(a * b)
-        assert not field.is_prime_power((a * b) ** 2)
-    # the least strong pseudoprime to all of _MR_BASES bounds the exact range
-    assert field._MR_EXACT == 1287836182261 * 2575672364521
-    assert field.is_prime_power(1287836182261) and field.is_prime_power(2575672364521)
+    for q in [*range(2, 20000), 65521, 65535, 65536]:
+        try:
+            got = field.order_split(q)
+        except ValueError as e:
+            got = str(e)
+        assert got == (split(q) or f"{q} is not a prime power"), q
 
 
 def test_field_value_semantics_and_pickle():

@@ -13,7 +13,6 @@ from reflexff import (
     hyperplane_lld_check,
     iter_projective,
     mat_rank,
-    opspace_make,
 )
 from reflexff import kernels
 from oracles import brute_closure_set, space_element_set
@@ -25,13 +24,13 @@ GF3 = field_make(3)
 def span_im():
     ident = Matrix.identity(GF2, 2)
     m = Matrix(GF2, 2, 2, (0, 1, 1, 1))
-    return opspace_make(GF2, 2, 2, [ident, m])
+    return OperatorSpace(GF2, 2, 2, [ident, m])
 
 
 def span_e11_e12():
     e11 = Matrix(GF2, 2, 2, (1, 0, 0, 0))
     e12 = Matrix(GF2, 2, 2, (0, 1, 0, 0))
-    return opspace_make(GF2, 2, 2, [e11, e12])
+    return OperatorSpace(GF2, 2, 2, [e11, e12])
 
 
 def test_make_and_validation():
@@ -39,13 +38,13 @@ def test_make_and_validation():
     assert s.n == 2
     with pytest.raises(DependentBasisError):
         ident = Matrix.identity(GF2, 2)
-        opspace_make(GF2, 2, 2, [ident, ident])
-    empty = opspace_make(GF2, 2, 2, [])
+        OperatorSpace(GF2, 2, 2, [ident, ident])
+    empty = OperatorSpace(GF2, 2, 2, [])
     assert empty.n == 0
     with pytest.raises(ValueError):
-        opspace_make(GF2, 2, 2, [Matrix.identity(GF2, 3)])
+        OperatorSpace(GF2, 2, 2, [Matrix.identity(GF2, 3)])
     with pytest.raises(ValueError):
-        opspace_make(GF2, 2, 2, [Matrix.identity(GF3, 2)])
+        OperatorSpace(GF2, 2, 2, [Matrix.identity(GF3, 2)])
 
 
 def test_eval_space_examples():
@@ -58,7 +57,7 @@ def test_eval_space_examples():
 
 @pytest.mark.parametrize("bad", [-1, 3, 1.5])
 def test_eval_space_rejects_entries_outside_the_field(bad):
-    s = opspace_make(GF3, 2, 2, [Matrix.identity(GF3, 2)])
+    s = OperatorSpace(GF3, 2, 2, [Matrix.identity(GF3, 2)])
     assert s.eval_space((1, 2)) == ((1, 2),)
     with pytest.raises(ValueError, match="outside"):
         s.eval_space((1, bad))
@@ -68,7 +67,7 @@ def test_eval_space_scaling_invariance():
     f = field_make(5)
     rng = random.Random(3)
     basis = [Matrix(f, 3, 2, [rng.randrange(5) for _ in range(6)]) for _ in range(2)]
-    s = opspace_make(f, 2, 3, basis)
+    s = OperatorSpace(f, 2, 3, basis)
     for x in [(1, 3), (2, 4), (0, 2)]:
         base = s.eval_space(x)
         for lam in range(1, 5):
@@ -80,7 +79,7 @@ def test_closure_examples():
     # the full matrix space is its own closure
     units = [Matrix(GF2, 2, 2, tuple(1 if i == k else 0 for i in range(4)))
              for k in range(4)]
-    full = opspace_make(GF2, 2, 2, units)
+    full = OperatorSpace(GF2, 2, 2, units)
     assert full.reflexive_closure() == full
 
     s2 = span_e11_e12()
@@ -103,7 +102,7 @@ def test_closure_against_brute_oracle():
                             [rng.randrange(2) for _ in range(dim_u * dim_v)])
                      for _ in range(n)]
             try:
-                cases.append(opspace_make(GF2, dim_u, dim_v, basis))
+                cases.append(OperatorSpace(GF2, dim_u, dim_v, basis))
                 break
             except DependentBasisError:
                 continue
@@ -125,11 +124,11 @@ def test_closure_contains_s_and_is_idempotent():
             cand = Matrix(f, dim_v, dim_u,
                           [rng.randrange(q) for _ in range(dim_u * dim_v)])
             try:
-                opspace_make(f, dim_u, dim_v, basis + [cand])
+                OperatorSpace(f, dim_u, dim_v, basis + [cand])
             except DependentBasisError:
                 continue
             basis.append(cand)
-        s = opspace_make(f, dim_u, dim_v, basis)
+        s = OperatorSpace(f, dim_u, dim_v, basis)
         closure = s.reflexive_closure()
         assert all(closure.contains(b) for b in s.basis)
         assert closure.reflexive_closure() == closure
@@ -144,12 +143,12 @@ def test_one_dimensional_spaces_are_reflexive():
             ent = [rng.randrange(q) for _ in range(dim_u * dim_v)]
             if not any(ent):
                 ent[0] = 1
-            s = opspace_make(f, dim_u, dim_v, [Matrix(f, dim_v, dim_u, ent)])
+            s = OperatorSpace(f, dim_u, dim_v, [Matrix(f, dim_v, dim_u, ent)])
             assert s.is_reflexive()
 
 
 def test_zero_space_is_reflexive_by_convention():
-    s = opspace_make(GF2, 3, 2, [])
+    s = OperatorSpace(GF2, 3, 2, [])
     assert s.is_reflexive()
     assert s.reflexive_closure().n == 0
     with pytest.raises(ValueError):
@@ -162,7 +161,7 @@ def test_mrk_examples():
     assert value == 2
     assert witness == (0, 1)  # lexicographically first projective coefficient
     e11 = Matrix(GF2, 2, 2, (1, 0, 0, 0))
-    assert opspace_make(GF2, 2, 2, [e11]).mrk() == (1, (1,))
+    assert OperatorSpace(GF2, 2, 2, [e11]).mrk() == (1, (1,))
 
 
 def test_mrk_regular_gf8():
@@ -185,7 +184,7 @@ def test_rank_distribution_examples():
     assert span_im().rank_distribution() == {2: 3}
     assert span_e11_e12().rank_distribution() == {1: 3}
     e11_gf3 = Matrix(GF3, 2, 2, (1, 0, 0, 0))
-    assert opspace_make(GF3, 2, 2, [e11_gf3]).rank_distribution() == {1: 1}
+    assert OperatorSpace(GF3, 2, 2, [e11_gf3]).rank_distribution() == {1: 1}
     # total of counts = number of projective classes
     s = span_im()
     assert sum(s.rank_distribution().values()) == (2**s.n - 1) // (2 - 1)
@@ -195,7 +194,7 @@ def test_lld_examples(monkeypatch):
     assert span_e11_e12().is_lld()
     assert not span_im().is_lld()
     ident = Matrix.identity(GF2, 2)
-    assert not opspace_make(GF2, 2, 2, [ident]).is_lld()
+    assert not OperatorSpace(GF2, 2, 2, [ident]).is_lld()
     # GF(2)^2 has 3 projective points: the walk refuses a guard of 2
     monkeypatch.setenv("REFLEXFF_GUARD", "2")
     with pytest.raises(GuardExceeded, match="guard 2"):
@@ -209,9 +208,9 @@ def test_hyperplane_lld_examples():
     e11 = Matrix(GF2, 2, 2, (1, 0, 0, 0))
     assert hyperplane_lld_check(s, e11)
     e22 = Matrix(GF2, 2, 2, (0, 0, 0, 1))
-    s_e11 = opspace_make(GF2, 2, 2, [e11])
+    s_e11 = OperatorSpace(GF2, 2, 2, [e11])
     assert not hyperplane_lld_check(s_e11, e22)
-    zero_space = opspace_make(GF2, 2, 2, [])
+    zero_space = OperatorSpace(GF2, 2, 2, [])
     assert not hyperplane_lld_check(zero_space, Matrix.identity(GF2, 2))
     with pytest.raises(MembershipError):
         hyperplane_lld_check(s, Matrix.identity(GF2, 2))
@@ -236,7 +235,7 @@ def test_reduced_space_drops_dead_column():
     # 2x3 matrices with a zero third column: the common kernel is span{e3}
     a = Matrix(GF2, 2, 3, (1, 0, 0, 0, 1, 0))
     b = Matrix(GF2, 2, 3, (0, 1, 0, 1, 1, 0))
-    s = opspace_make(GF2, 3, 2, [a, b])
+    s = OperatorSpace(GF2, 3, 2, [a, b])
     reduced, qmap = s.reduced()
     assert qmap == Matrix(GF2, 2, 3, (1, 0, 0, 0, 1, 0))
     assert reduced.dim_u == 2 and reduced.n == 2
@@ -246,7 +245,7 @@ def test_reduced_space_drops_dead_column():
 
 def test_reduced_space_e11():
     e11 = Matrix(GF2, 2, 2, (1, 0, 0, 0))
-    s = opspace_make(GF2, 2, 2, [e11])
+    s = OperatorSpace(GF2, 2, 2, [e11])
     reduced, qmap = s.reduced()
     assert qmap == Matrix(GF2, 1, 2, (1, 0))
     assert reduced.dim_u == 1
@@ -258,7 +257,7 @@ def test_closure_commutes_with_reduction():
     # reducing the closure equals the closure of the reduction
     a = Matrix(GF2, 2, 3, (1, 0, 0, 0, 1, 0))
     b = Matrix(GF2, 2, 3, (0, 1, 0, 1, 1, 0))
-    cases = [opspace_make(GF2, 3, 2, [a, b])]
+    cases = [OperatorSpace(GF2, 3, 2, [a, b])]
     rng = random.Random(41)
     while len(cases) < 6:
         dim_u, dim_v = rng.randrange(2, 4), rng.randrange(1, 4)
@@ -267,7 +266,7 @@ def test_closure_commutes_with_reduction():
             basis = [Matrix(GF2, dim_v, dim_u,
                             [rng.randrange(2) for _ in range(dim_u * dim_v)])
                      for _ in range(n)]
-            cases.append(opspace_make(GF2, dim_u, dim_v, basis))
+            cases.append(OperatorSpace(GF2, dim_u, dim_v, basis))
         except DependentBasisError:
             continue
     for s in cases:
@@ -281,7 +280,7 @@ def test_closure_commutes_with_reduction():
                                               for i in range(g.rows)])
             assert gbar @ qmap == g
             closure_then_reduce.append(gbar)
-        lhs = opspace_make(s.field, reduced.dim_u, s.dim_v, closure_then_reduce)
+        lhs = OperatorSpace(s.field, reduced.dim_u, s.dim_v, closure_then_reduce)
         assert lhs == reduced.reflexive_closure()
 
 
@@ -297,7 +296,7 @@ def test_reduction_preserves_reflexivity_status():
             basis = [Matrix(f, dim_v, dim_u,
                             [rng.randrange(q) for _ in range(dim_u * dim_v)])
                      for _ in range(n)]
-            s = opspace_make(f, dim_u, dim_v, basis)
+            s = OperatorSpace(f, dim_u, dim_v, basis)
         except DependentBasisError:
             continue
         reduced, qmap = s.reduced()
@@ -323,7 +322,7 @@ def test_analyze_report_fields():
     assert d["mrk_witness"] == [0, 1]
     assert d["rank_distribution"] == {"2": 3}
 
-    rep0 = analyze(opspace_make(GF2, 2, 2, []))
+    rep0 = analyze(OperatorSpace(GF2, 2, 2, []))
     assert rep0.mrk is None and rep0.reflexive is True
     assert rep0.to_dict()["mrk"] is None
 
@@ -332,8 +331,8 @@ def test_space_equality_is_span_equality():
     ident = Matrix.identity(GF2, 2)
     m = Matrix(GF2, 2, 2, (0, 1, 1, 1))
     im = Matrix(GF2, 2, 2, (1, 1, 1, 0))  # I + M
-    s1 = opspace_make(GF2, 2, 2, [ident, m])
-    s2 = opspace_make(GF2, 2, 2, [im, m])
+    s1 = OperatorSpace(GF2, 2, 2, [ident, m])
+    s2 = OperatorSpace(GF2, 2, 2, [im, m])
     assert s1 == s2
     assert hash(s1) == hash(s2)
 
@@ -341,9 +340,9 @@ def test_space_equality_is_span_equality():
 @pytest.mark.parametrize("space", [
     span_im(),
     span_e11_e12(),
-    opspace_make(field_make(2, 2), 2, 2, [Matrix(field_make(2, 2), 2, 2, (1, 2, 0, 3))]),
-    opspace_make(field_make(257), 2, 2, [Matrix(field_make(257), 2, 2, (1, 0, 0, 1)),
-                                         Matrix(field_make(257), 2, 2, (0, 1, 0, 0))]),
+    OperatorSpace(field_make(2, 2), 2, 2, [Matrix(field_make(2, 2), 2, 2, (1, 2, 0, 3))]),
+    OperatorSpace(field_make(257), 2, 2, [Matrix(field_make(257), 2, 2, (1, 0, 0, 1)),
+                                          Matrix(field_make(257), 2, 2, (0, 1, 0, 0))]),
 ], ids=["gf2-span-im", "gf2-e11-e12", "gf4-n1", "gf257-n2"])
 def test_space_pickle_round_trip(space):
     import pickle
