@@ -39,7 +39,6 @@ from .opspace import (
     AnalysisReport,
     OperatorSpace,
     analyze,
-    hyperplane_lld_check,
 )
 from .search import (
     SearchParams,

@@ -200,7 +200,6 @@ def cmd_search(args) -> int:
         seed=args.seed,
         jobs=args.jobs,
         guard=args.guard,
-        deep_checks=args.deep_checks,
     )
     if args.extremal:
         report = find_extremal(params)
@@ -278,8 +277,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "members (default 10^7 or REFLEXFF_GUARD)")
     p.add_argument("--extremal", action="store_true",
                    help="collect every maximum-mrk witness")
-    p.add_argument("--deep-checks", action="store_true", dest="deep_checks",
-                   help="also assert the hyperplane local-dependence property")
 
     p = command("construct", cmd_construct, "write a constructed space file")
     p.add_argument("family", choices=["regular-rep"])

@@ -55,17 +55,6 @@ class Matrix:
             ent[i * n + i] = 1
         return cls(field, n, n, ent)
 
-    @classmethod
-    def from_rows(cls, field, rows):
-        rows = [tuple(r) for r in rows]
-        if not rows:
-            raise ValueError("from_rows needs at least one row; use zero()")
-        w = len(rows[0])
-        if any(len(r) != w for r in rows):
-            raise ValueError("rows have unequal lengths")
-        flat = tuple(e for r in rows for e in r)
-        return cls(field, len(rows), w, flat)
-
     def row(self, i) -> tuple:
         c = self.cols
         return self.entries[i * c:(i + 1) * c]

@@ -24,7 +24,7 @@ from itertools import chain
 from operator import getitem, itemgetter
 
 from . import kernels
-from .errors import DependentBasisError, GuardExceeded, MembershipError
+from .errors import DependentBasisError, GuardExceeded
 from .matrix import (  # noqa: F401  (mat_kernel, mat_rank: perfbench/tracer.py wraps them)
     Matrix,
     iter_projective,
@@ -467,15 +467,6 @@ class OperatorSpace:
         return OperatorSpace(f, len(piv), v, [
             Matrix(f, v, len(piv), [m.entries[i * p + c] for i in range(v) for c in piv])
             for m in self.basis]), qmap
-
-
-def hyperplane_lld_check(space: OperatorSpace, g: Matrix) -> bool:
-    """Whether S + span{g} is locally linearly dependent; requires g not in S."""
-    if space.contains(g):
-        raise MembershipError("g lies in the space", "in_space")
-    extended = OperatorSpace(space.field, space.dim_u, space.dim_v,
-                             space.basis + (g,))
-    return extended.is_lld()
 
 
 @dataclass

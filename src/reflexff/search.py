@@ -16,8 +16,8 @@ column right of it, 0 elsewhere), cut into row tuples by one
 the same order, pattern by pattern, free entries in lexicographic order.
 
 Candidates stay flat RREF entry tuples throughout the scan: the closure
-test and the rank walk of ``opspace`` read them directly, and only the
-``deep_checks`` witness path builds an ``OperatorSpace``.
+test and the rank walk of ``opspace`` read them directly, and no
+``Matrix`` or ``OperatorSpace`` is built per candidate.
 
 Every non-reflexive space encountered is checked against the minimal-rank
 bound mrk(S) <= 2n - 2 (plus the weaker n(n+1)/2 and n^2 bounds); any
@@ -39,8 +39,7 @@ from .errors import GuardExceeded, TheoremViolation
 from .field import FieldSpec, field_make
 from .matrix import Matrix, rref_rows
 from .opspace import (OperatorSpace, _guard_points, _guard_system, _projective,
-                      closure_system, default_guard, hyperplane_lld_check,
-                      rank_walk)
+                      closure_system, default_guard, rank_walk)
 
 RNG_NAME = "python-mt19937"
 
@@ -116,7 +115,6 @@ class SearchParams:
     seed: int = 0
     jobs: int = 1
     guard: int | None = None
-    deep_checks: bool = False
 
 
 @dataclass
@@ -230,14 +228,6 @@ def _scan_one(acc: _Acc, params: SearchParams, rows: tuple,
         acc.extremal = [rows] if collect_extremal else []
     elif mrk == acc.max_mrk and collect_extremal:
         acc.extremal.append(rows)
-    if params.deep_checks:
-        space = OperatorSpace(field, dim_u, dim_v,
-                              [Matrix(field, dim_v, dim_u, row) for row in rows])
-        witness = next(b for b in space.reflexive_closure().basis
-                       if not space.contains(b))
-        if not hyperplane_lld_check(space, witness):
-            acc.violations.append(
-                {"basis": rows, "mrk": mrk, "bound": "hyperplane-lld"})
 
 
 def _scan_pattern(params: SearchParams, collect_extremal: bool, pivots) -> _Acc:

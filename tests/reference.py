@@ -37,7 +37,7 @@ def reference_closure_basis(space) -> tuple:
             normals = tuple(
                 tuple(1 if t == i else 0 for t in range(v)) for i in range(v))
         else:
-            normals = mat_kernel(Matrix.from_rows(f, ev))
+            normals = mat_kernel(Matrix(f, d, v, [e for r in ev for e in r]))
         for c in normals:
             row = [0] * unknowns
             for i in range(v):

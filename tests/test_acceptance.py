@@ -20,7 +20,6 @@ from reflexff import (
     exhaustive_verify,
     field_make,
     find_extremal,
-    hyperplane_lld_check,
     incidence_count,
     exhaustive_verify as _ev,
     proof_trace,
@@ -185,7 +184,9 @@ def test_criterion_7_invariant_suite_1000_spaces():
             nonreflexive_seen += 1
             assert mrk_value <= 2 * n - 2
             g = next(b for b in closure.basis if not space.contains(b))
-            assert hyperplane_lld_check(space, g)
+            extended = OperatorSpace(f, space.dim_u, space.dim_v,
+                                     space.basis + (g,))
+            assert extended.is_lld()
 
         reduced, _ = space.reduced()
         assert reduced.n == n

@@ -399,6 +399,16 @@ def test_search_exhaustive(space_file):
     assert d["mrk_histogram"] == {"1": 9, "2": 2}
 
 
+def test_search_has_no_deep_checks_flag():
+    # the hyperplane property is a test of the closure (test_opspace.py), not
+    # a search option
+    code, out, err = run_cli(["search", "--q", "2", "--dim-u", "2", "--dim-v", "2",
+                              "--n", "2", "--deep-checks"])
+    assert code == 2 and out == ""
+    assert err.startswith("usage: reflexff") and "Traceback" not in err
+    assert err.endswith("reflexff: error: unrecognized arguments: --deep-checks\n")
+
+
 def test_search_n1_all_reflexive():
     code, out, _ = run_cli(["search", "--q", "2", "--dim-u", "2", "--dim-v", "2",
                             "--n", "1"])

@@ -147,7 +147,7 @@ def request(draw, command):
             argv += ["--mode", "random", "--samples", draw(flag(1, 2, 3)),
                      "--seed", draw(flag(0, 7))]
         flags = ["--guard=1", "--guard=20", "--guard=0"]
-        argv += draw(st.lists(st.sampled_from(["--extremal", "--deep-checks", *flags]),
+        argv += draw(st.lists(st.sampled_from(["--extremal", *flags]),
                               max_size=2, unique=True))
         if guard is None and not set(flags) & set(argv):
             # the default guard, 10^7, admits slices of millions of spaces

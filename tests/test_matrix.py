@@ -143,7 +143,8 @@ def test_quotient_kernel_is_exactly_the_subspace():
     for q in (2, 3):
         f = FIELDS[q]
         basis = [(1, 0, 1, 0), (0, 1, 1, 1 % q)]
-        annihilator = Matrix.from_rows(f, mat_kernel(Matrix.from_rows(f, basis)))
+        normals = mat_kernel(Matrix(f, 2, 4, [e for r in basis for e in r]))
+        annihilator = Matrix(f, len(normals), 4, [e for r in normals for e in r])
         inside = span_set(f, basis, 4)
         spaces = [(OperatorSpace(f, 4, 2, [annihilator]), inside)]
         while len(spaces) < 12:

@@ -142,7 +142,7 @@ def test_guard_env_override(monkeypatch):
 
 
 def test_exhaustive_tiny_slice():
-    params = SearchParams(field=GF2, dim_u=2, dim_v=2, n=2, deep_checks=True)
+    params = SearchParams(field=GF2, dim_u=2, dim_v=2, n=2)
     report = exhaustive_verify(params)
     assert report.spaces_examined == 35
     assert report.reflexive_count + report.nonreflexive_count == 35
@@ -493,8 +493,7 @@ def test_theorem_violation_raises_loudly(monkeypatch):
 
 
 def test_nonreflexive_spaces_satisfy_all_recorded_bounds():
-    report = exhaustive_verify(
-        SearchParams(field=GF3, dim_u=2, dim_v=2, n=2, deep_checks=True))
+    report = exhaustive_verify(SearchParams(field=GF3, dim_u=2, dim_v=2, n=2))
     assert report.spaces_examined == 130
     assert report.violations == []
     n = 2
