@@ -13,10 +13,10 @@ walk over T (``opspace.rank_walk`` on flat entry tuples, offset by g)
 ranks each member once; from it come the rank profile of T with its
 extremes r and m, #N by the rank formula and the distinguished member h0
 (the first of least rank).  The kernel incidence count N' over h0 is one
-rank per other member h: h and h0 both kill exactly q^(p - rank [h0; h])
-vectors.  #N is also counted by direct pair enumeration, and an
-exact-arithmetic tracer evaluates the inequality chain that bounds the
-minimal rank of S.
+rank per projective class [s] of S: with K a basis of Ker h0, h0 + s
+kills Ky exactly when (sK)y = 0.  #N is also counted by direct pair
+enumeration, and an exact-arithmetic tracer evaluates the inequality
+chain that bounds the minimal rank of S.
 
 All arithmetic is exact (Python integers, fractions for the one factored
 inequality); nothing here is approximate.
@@ -27,13 +27,14 @@ from __future__ import annotations
 import operator
 import sys
 from dataclasses import dataclass, field as dc_field
+from functools import reduce
 
 from . import kernels
 from .errors import GuardExceeded, MembershipError
 from .field import order_split
 # mat_kernel and mat_rank stay bound here: perfbench/tracer.py wraps them by name
-from .matrix import Matrix, iter_vectors, mat_kernel, mat_rank  # noqa: F401
-from .opspace import OperatorSpace, default_guard, rank_walk, walk_profile
+from .matrix import Matrix, iter_vectors, mat_kernel, mat_rank, null_basis  # noqa: F401
+from .opspace import OperatorSpace, _projective, default_guard, rank_walk, walk_profile
 
 BRUTE_GUARD = 1 << 24  # max q^(p+n) pairs for brute incidence counting
 
@@ -69,12 +70,17 @@ def coset_make(space: OperatorSpace, g: Matrix) -> Coset:
     return Coset(space, g)
 
 
-def _walk(coset: Coset):
-    """(coefficients, flat entries, rank) for every member of T, in
-    lexicographic order; GuardExceeded first when q^n passes the guard."""
+def _guard(coset: Coset):
+    """GuardExceeded when T's q^n members pass the guard."""
     size, guard = coset.size(), default_guard()
     if size > guard:
         raise GuardExceeded(f"coset of {size} members exceeds the guard {guard}")
+
+
+def _walk(coset: Coset):
+    """(coefficients, flat entries, rank) for every member of T, in
+    lexicographic order; GuardExceeded first when q^n passes the guard."""
+    _guard(coset)
     s = coset.space
     return rank_walk(s.field, s.dim_u, s.dim_v, [b.entries for b in s.basis],
                      iter_vectors(coset.q, coset.n), coset.g.entries)
@@ -126,22 +132,29 @@ def coset_rank_profile(coset: Coset):
 
 def nprime_count(coset: Coset, h0: Matrix) -> int:
     """Pairs (x, h) with x a nonzero kernel vector of h0, h in T \\ {h0},
-    and h(x) = 0, counted by one rank per member h (see ``_nprime``)."""
+    and h(x) = 0, by one rank per projective class of S (``_nprime``)."""
     if not coset.space.contains(h0 - coset.g):
         raise ValueError("h0 is not a member of the coset")
-    # T's members are pairwise distinct, so h0 is skipped by its entries
-    h0 = list(h0.entries)
-    return _nprime(coset, h0, (h for _, h, _ in _walk(coset) if h != h0))
+    _guard(coset)
+    return _nprime(coset, h0.entries)
 
 
-def _nprime(coset: Coset, h0, others) -> int:
-    """``nprime_count`` from the flat entries of h0 and of the members
-    ``others``.  Ker h0 and Ker h meet in the kernel of the stacked
-    2 dim_v x p map [h0; h], so h kills q^(p - rank [h0; h]) - 1 of the
-    nonzero kernel vectors of h0."""
-    f, q, p, v = coset.space.field, coset.q, coset.p, coset.space.dim_v
-    return sum(q**(p - len(kernels.row_reduce([*h0, *h], 2 * v, p, f)[1])) - 1
-               for h in others)
+def _nprime(coset: Coset, h0) -> int:
+    """``nprime_count`` from the flat entries of h0.  With K a basis of
+    Ker h0 (k vectors), h0 + s kills q^(k - rank sK) - 1 of the nonzero
+    kernel vectors of h0, alike for the q - 1 multiples of s; the dim_v x k
+    maps sK are ranked by ``rank_walk`` over the projective classes of S."""
+    s = coset.space
+    f, q, p, v = s.field, coset.q, coset.p, s.dim_v
+    ker = null_basis(f, *kernels.row_reduce(h0, v, p, f), p)
+    k = len(ker)
+    if not k:
+        return 0
+    add, mul = f.add, f.mul
+    flats = [[reduce(add, map(mul, b.entries[i:i + p], y)) for i in range(0, v * p, p)
+              for y in ker] for b in s.basis]
+    return (q - 1) * sum(q**(k - rk) - 1 for _, _, rk in
+                         rank_walk(f, k, v, flats, _projective[q, coset.n]))
 
 
 _RELATIONS = {"<=": operator.le, ">=": operator.ge, ">": operator.gt}
@@ -214,13 +227,12 @@ def census_report(coset: Coset) -> CensusReport:
     q^n + q^p - 1 for n >= 2.  It is expected to be ``skipped``: no real
     coset has yet been seen to take the shape."""
     q, p, n = coset.q, coset.p, coset.n
-    walk = list(_walk(coset))
-    profile, r, m, mult, (h0_coeffs, h0, _) = _profile(walk, n)
+    profile, r, m, mult, (h0_coeffs, h0, _) = _profile(_walk(coset), n)
     total = _incidence(q, p, profile)
 
     nprime_lower = (q**(p - 2 * n + 1) - 1) * (m - 1) if p >= 2 * n - 1 else None
 
-    nprime = _nprime(coset, h0, (h for coeffs, h, _ in walk if coeffs != h0_coeffs))
+    nprime = _nprime(coset, h0)
 
     if _chain_shape(p, n, profile):
         nprime_floor = Check("nprime_floor", ">=", nprime, nprime_lower)

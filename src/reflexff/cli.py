@@ -290,6 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="human-readable table instead of JSON (analyze, "
                             "census, trace and search)")
 
+    parser.commands = sub.choices  # name -> subparser, for main's usage errors
     return parser
 
 
@@ -309,7 +310,12 @@ def main(argv=None) -> int:
     global _PARSER
     if _PARSER is None:
         _PARSER = build_parser()
-    args = _PARSER.parse_args(argv)
+    args, extra = _PARSER.parse_known_args(argv)
+    if extra:
+        # reported by the parser that read it: the top level reads up to the subcommand
+        argv = sys.argv[1:] if argv is None else argv
+        owner = _PARSER if argv.index(args.command) else _PARSER.commands[args.command]
+        owner.error(f"unrecognized arguments: {' '.join(extra)}")
     try:
         return args.func(args)
     except MembershipError as e:

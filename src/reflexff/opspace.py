@@ -204,7 +204,10 @@ def closure_system(field, dim_u, dim_v, flats):
     through the memo's one itemgetter, and one per point, in one lazy
     stream of rows read only up to the early exit.  n = 0 keeps none.
     The points come from the per-process projective cache
-    (``_projective``), memo or not.
+    (``_projective``), memo or not.  Without a memo, at dim_v = 2 and
+    n >= 2, a point where det[f_1(x) f_2(x)] != 0 (a quadratic form in x,
+    nonzero at most points unless it vanishes identically) has
+    S(x) = GF(q)^2 and no conditions: it is skipped, unreduced.
     """
     p, v = dim_u, dim_v
     width = p * v
@@ -226,6 +229,7 @@ def closure_system(field, dim_u, dim_v, flats):
     # the nonzero (column, entry) pairs of each row of each basis map
     maprows = [[(j, e) for j, e in enumerate(fk[b:b + p]) if e]
                for fk in flats for b in range(0, width, p)]
+    det2 = v == 2 and n >= 2
     for x in _projective[field.q, p]:
         images = []
         for r in maprows:
@@ -236,6 +240,8 @@ def closure_system(field, dim_u, dim_v, flats):
                     t = e if xj == 1 else mul(e, xj)
                     s = add(s, t) if s else t
             images.append(s)
+        if det2 and mul(images[0], images[3]) != mul(images[1], images[2]):
+            continue  # f_1(x), f_2(x) span GF(q)^2: no conditions here
         cond, _ = _point_conditions(field, x, v, images)
         if cond and insert(kept, cond, target, field) == target:
             break

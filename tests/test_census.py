@@ -516,6 +516,46 @@ def test_census_report_matches_separate_computations(q):
     assert checked >= 6
 
 
+def _pair_coset(f, dim_u, rng):
+    """P span{E11 + E22, E12} Q + P E11 Q, for seeded invertible P (2 x 2)
+    and Q (dim_u x dim_u): E11 lies in the closure, the upper triangle on
+    the first two coordinates, and not in the span."""
+    def invertible(size):
+        while True:
+            m = Matrix(f, size, size, [rng.randrange(f.q) for _ in range(size * size)])
+            if mat_rank(m) == size:
+                return m
+
+    p_mat, q_mat = invertible(2), invertible(dim_u)
+    e11, e22, e12 = (Matrix(f, 2, dim_u, [int((i, j) == cell) for i in range(2)
+                                          for j in range(dim_u)])
+                     for cell in [(0, 0), (1, 1), (0, 1)])
+    s = OperatorSpace(f, dim_u, 2, [p_mat @ m @ q_mat for m in (e11 + e22, e12)])
+    return coset_make(s, p_mat @ e11 @ q_mat)
+
+
+@pytest.mark.parametrize("q", [7, 8, 9])
+def test_nprime_matches_brute_force_past_gf5(q):
+    f = field_from_order(q)
+    rng = random.Random(6500 + q)
+    counts, ranks = [], set()
+    for dim_u in (2, 3):
+        coset = _pair_coset(f, dim_u, rng)
+        members = dict(coset.elements())
+        chosen = set(rng.sample(sorted(members), 5))
+        # a rank-2 h0 (invertible at dim_u = 2: k = 0) and census's own h0
+        chosen.add(next(c for c, h in members.items() if mat_rank(h) == 2))
+        rep = census_report(coset)
+        chosen.add(rep.h0_coeffs)
+        for coeffs in sorted(chosen):
+            nprime = nprime_count(coset, members[coeffs])
+            assert nprime == brute_nprime(coset, coeffs)
+            counts.append(nprime)
+            ranks.add((dim_u, mat_rank(members[coeffs])))
+        assert rep.nprime_count == brute_nprime(coset, rep.h0_coeffs)
+    assert {(2, 2), (2, 1), (3, 2)} <= ranks and any(counts)
+
+
 def test_census_report_ranks_each_member_once(monkeypatch):
     s = construct_regular_rep(GF3, 2)
     g = next(b for b in s.reflexive_closure().basis if not s.contains(b))
@@ -531,9 +571,13 @@ def test_census_report_ranks_each_member_once(monkeypatch):
                             lambda m, *a: built.append(a) or init(m, *a))
         census_report(coset)
         monkeypatch.undo()
-        p, v, size = coset.p, coset.space.dim_v, coset.size()
-        # one rank per member, one stacked [h0; h] rank per other member
-        assert shapes == {(v, p): size, (2 * v, p): size - 1}
+        p, v, q, n, size = coset.p, coset.space.dim_v, coset.q, coset.n, coset.size()
+        # one rank per member and h0's kernel, then at most one rank of sK
+        # per projective class [s] of S, K a basis of Ker h0 (k vectors)
+        k = p - census._profile(census._walk(coset), n)[1]
+        assert shapes[v, p] == size + 1
+        assert set(shapes) == {(v, p), (v, k)}
+        assert 0 < shapes[v, k] <= (q**n - 1) // (q - 1)
         assert built == []
 
 

@@ -405,8 +405,26 @@ def test_search_has_no_deep_checks_flag():
     code, out, err = run_cli(["search", "--q", "2", "--dim-u", "2", "--dim-v", "2",
                               "--n", "2", "--deep-checks"])
     assert code == 2 and out == ""
-    assert err.startswith("usage: reflexff") and "Traceback" not in err
-    assert err.endswith("reflexff: error: unrecognized arguments: --deep-checks\n")
+    assert err.startswith("usage: reflexff search") and "Traceback" not in err
+    assert err.endswith("reflexff search: error: unrecognized arguments: --deep-checks\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "s.json"], ["closure", "s.json"], ["mrk", "s.json"],
+    ["census", "s.json", "g.json"], ["trace", "--q", "2", "--p", "2", "--n", "1", "--profile", "1:2"],
+    ["search", "--q", "2", "--dim-u", "2", "--dim-v", "2", "--n", "2"],
+    ["construct", "regular-rep", "--p", "2", "--n", "2"]])
+def test_unknown_option_shows_its_subcommands_usage(argv):
+    # after the subcommand it is the subcommand's option to refuse; before
+    # it, the top level's
+    code, out, err = run_cli(argv + ["--bogus"])
+    assert code == 2 and out == "" and "Traceback" not in err
+    assert err.startswith(f"usage: reflexff {argv[0]} [-h]")
+    assert err.endswith(f"reflexff {argv[0]}: error: unrecognized arguments: --bogus\n")
+    code, out, err = run_cli(["--bogus"] + argv)
+    assert code == 2 and out == ""
+    assert err.startswith("usage: reflexff [-h]")
+    assert err.endswith("reflexff: error: unrecognized arguments: --bogus\n")
 
 
 def test_search_n1_all_reflexive():

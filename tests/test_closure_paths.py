@@ -25,7 +25,7 @@ from reflexff import (
 )
 from reflexff import kernels, opspace, search
 from reflexff.field import FieldSpec
-from reflexff.matrix import iter_projective, iter_vectors, null_basis
+from reflexff.matrix import iter_projective, iter_vectors, null_basis, null_rref
 from reflexff.opspace import closure_system
 from reflexff.search import _mrk
 from oracles import brute_closure_set, duality_closure_set, space_element_set
@@ -511,6 +511,42 @@ def test_memo_free_points_rows_have_distinct_leads(monkeypatch, dim_v):
         for cond, (x, img) in zip(calls, with_rows):
             check_point_rows(f, x, dim_v, img, cond)
         assert calls
+
+
+@pytest.mark.parametrize("q,dim_u,n", [(3, 2, 2), (3, 2, 3), (4, 2, 2), (5, 2, 2),
+                                       (2, 3, 3)])
+def test_memo_free_determinant_shortcut_matches_the_memo_path(monkeypatch, q, dim_u, n):
+    # dim_v = 2: the loop without a memo skips each point where f_1(x) and
+    # f_2(x) have a nonzero determinant; every point it reduces has
+    # determinant 0, and at n = 3 some of those still have full-rank images
+    f = field_from_order(q)
+    width = dim_u * 2
+    points = list(iter_projective(q, dim_u))
+    skipped = full_rank = 0
+    for rows in enumerate_subspaces(q, width, n):
+        memo_kept = closure_system(f, dim_u, 2, rows)
+        reached = []
+        conditions = opspace._point_conditions
+        with monkeypatch.context() as m:
+            m.setattr(opspace, "_closure_memo", lambda *a: None)
+            m.setattr(opspace, "_point_conditions", lambda field, x, v, images: (
+                reached.append((x, images)), conditions(field, x, v, images))[1])
+            kept = closure_system(f, dim_u, 2, rows)
+        assert len(kept) == len(memo_kept)
+        assert (null_rref(f, [e for r in kept.values() for e in r], len(kept), width)
+                == null_rref(f, [e for r in memo_kept.values() for e in r],
+                             len(memo_kept), width))
+        for x, images in reached:
+            f1, f2 = images[:2], images[2:4]
+            assert f.mul(f1[0], f2[1]) == f.mul(f1[1], f2[0])
+            full_rank += len(rref_rows(f, [images[i:i + 2] for i in range(0, 2 * n, 2)],
+                                       width=2)[0]) == 2
+        # the scan stops at a reduced point once the system forces R(S) = S
+        visited = (points.index(reached[-1][0]) + 1 if len(kept) == width - n
+                   else len(points))
+        skipped += visited - len(reached)
+    assert skipped > 0
+    assert (full_rank > 0) == (n == 3)
 
 
 def test_projective_cache_keeps_what_fits_in_order(monkeypatch):
