@@ -8,7 +8,8 @@ incidence set N = {(x, h) : h in T, h(x) = 0} then satisfies
     #N = sum over h in T of q^(p - rank h)      (exact identity)
     #N >= q^n + q^p - 1                         (coverage floor)
 
-A coset needs g outside S and inside the closure R(S) that S caches.  One
+A coset needs g outside S and inside R(S), which is tested against the
+closure echelon that S caches, without building R(S).  One
 walk over T (``opspace.rank_walk`` on flat entry tuples, offset by g)
 ranks each member once; from it come the rank profile of T with its
 extremes r and m, #N by the rank formula and the distinguished member h0
@@ -47,7 +48,7 @@ class Coset:
             raise ValueError("witness shape or field disagrees with the space")
         if space.contains(g):
             raise MembershipError("g lies in S", "in_space")
-        if not space.reflexive_closure().contains(g):
+        if not space._closure_holds(g.entries):
             raise MembershipError("g is not in the reflexive closure of S",
                                   "not_in_closure")
         self.space = space

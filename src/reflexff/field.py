@@ -179,9 +179,10 @@ class FieldSpec:
             raise ValueError(f"characteristic must be prime, got {p!r}")
         if k < 1:
             raise ValueError(f"extension degree must be >= 1, got {k!r}")
-        # bounded before a power or a factoring runs: p >= 2 puts k > 16 past 2^16
+        # bounded before a power or a factoring runs: p >= 2 puts k > 16 past
+        # 2^16; below that the order is named as order_split names it
         if k > 16 or p**k > MAX_ORDER:
-            order = p if k == 1 else f"{p}^{k}"
+            order = p**k if k <= 16 else f"{p}^{k}"
             raise ValueError(f"field order {order} exceeds the supported 2^16")
         if _prime_factors(p) != {p: 1}:
             raise ValueError(f"characteristic must be prime, got {p!r}")

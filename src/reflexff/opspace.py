@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from functools import partial
+from functools import partial, reduce
 from itertools import chain
 from operator import getitem, itemgetter
 
@@ -134,8 +134,9 @@ def _closure_memo(field, dim_u, dim_v):
     """The shape's memo, created on first use; its points' condition memos
     share ``_MEMO_LIMIT``.  None when the q^dim_u rows' values alone would
     pass it, as at 2x2 over GF(256) and up.  (There, on the ``reports``
-    benchmark's spaces, n = 1 closures stop after 3 points; n = 2 ones scan
-    257 of 257 over GF(256), 155 of 258 over GF(257), 513 of 513 over GF(512).)"""
+    benchmark's spaces, n = 1 closures stop after 3 points; n = 2 ones test
+    257 of 257 points over GF(256), 155 of 258 over GF(257), 513 of 513 over
+    GF(512) by their determinant, and reduce 0, 2 and 0 of them.)"""
     key = (field, dim_u, dim_v)
     memo = _closure_memos.get(key)
     if memo is None:
@@ -193,9 +194,9 @@ def closure_system(field, dim_u, dim_v, flats):
     (``kernels.echelon_insert``); one point's rows have distinct leads, so
     none is reduced against another.  S lies in R(S), so once the rank
     reaches dim_u*dim_v - n the system forces R(S) = S and the scan stops,
-    possibly partway through a point's rows.  A caller that needs R(S)
-    reads the echelon's null space in one reduction
-    (``OperatorSpace.reflexive_closure``).
+    possibly partway through a point's rows.  Either way R(S) is the
+    echelon's null space, and only ``OperatorSpace.reflexive_closure``
+    reads a basis of it, in one reduction.
 
     The conditions at x depend only on x and the image tuple, so a shape
     may keep each basis-map row's values at every point and each (point,
@@ -207,7 +208,7 @@ def closure_system(field, dim_u, dim_v, flats):
     (``_projective``), memo or not.  Without a memo, at dim_v = 2 and
     n >= 2, a point where det[f_1(x) f_2(x)] != 0 (a quadratic form in x,
     nonzero at most points unless it vanishes identically) has
-    S(x) = GF(q)^2 and no conditions: it is skipped, unreduced.
+    S(x) = GF(q)^2 and no conditions: only the form's zeros get images.
     """
     p, v = dim_u, dim_v
     width = p * v
@@ -229,8 +230,14 @@ def closure_system(field, dim_u, dim_v, flats):
     # the nonzero (column, entry) pairs of each row of each basis map
     maprows = [[(j, e) for j, e in enumerate(fk[b:b + p]) if e]
                for fk in flats for b in range(0, width, p)]
-    det2 = v == 2 and n >= 2
-    for x in _projective[field.q, p]:
+    points = _projective[field.q, p]
+    if v == 2 and n >= 2:
+        # det[f_1(x) f_2(x)] = x^T (a (x) d - b (x) c) x for f_1's rows a, b
+        # and f_2's rows c, d: det(sum_j x_j V_j), V_j = [a_j b_j; c_j d_j]
+        f1, f2 = flats[0], flats[1]
+        points = (x for x, d in _det_walk(field, [
+            (f1[j], f1[p + j], f2[j], f2[p + j]) for j in range(p)], points) if not d)
+    for x in points:
         images = []
         for r in maprows:
             s = 0
@@ -240,12 +247,39 @@ def closure_system(field, dim_u, dim_v, flats):
                     t = e if xj == 1 else mul(e, xj)
                     s = add(s, t) if s else t
             images.append(s)
-        if det2 and mul(images[0], images[3]) != mul(images[1], images[2]):
-            continue  # f_1(x), f_2(x) span GF(q)^2: no conditions here
         cond, _ = _point_conditions(field, x, v, images)
         if cond and insert(kept, cond, target, field) == target:
             break
     return kept
+
+
+def _det_walk(field, vecs, points):
+    """(x, det(sum_k x_k V_k)) for each of the points, in order, V_k the 2x2
+    matrix of flat row-major entries vecs[k].  The determinant is the
+    quadratic form sum w_kl x_k x_l (k <= l), kept as its nonzero terms:
+    w_kk = det V_k, and w_kl = g0 h3 + h0 g3 - g1 h2 - h1 g2 for g = vecs[k],
+    h = vecs[l], a polar term that divides by nothing, so exact in
+    characteristic 2 too."""
+    add, mul, neg = field.add, field.mul, field.neg
+    form = []
+    for l, h in enumerate(vecs):
+        for k, g in enumerate(vecs[:l + 1]):
+            w = add(mul(g[0], h[3]), neg(mul(g[1], h[2])))
+            if k < l:
+                w = add(w, add(mul(h[0], g[3]), neg(mul(h[1], g[2]))))
+            if w:
+                form.append((k, l, w))
+    for x in points:
+        s = 0
+        for k, l, w in form:
+            a, b = x[k], x[l]
+            if a and b:
+                if a != 1:
+                    w = mul(w, a)
+                if b != 1:
+                    w = mul(w, b)
+                s = add(s, w) if s else w
+        yield x, s
 
 
 def rank_walk(field, dim_u, dim_v, flats, coeff_vectors, offset=None):
@@ -387,27 +421,41 @@ class OperatorSpace:
                             width=self.dim_v)
         return rows
 
+    def _closure_echelon(self) -> dict:
+        """``closure_system``'s echelon for S, cached, after the closure's
+        guards.  R(S) is its null space even when the scan stopped early:
+        that null space then has dimension n and holds S, so it is S."""
+        kept = self._cache.get("echelon")
+        if kept is None:
+            _guard_points(self.field.q, self.dim_u, "closure")
+            _guard_system(self.dim_u, self.dim_v)
+            kept = self._cache["echelon"] = closure_system(
+                self.field, self.dim_u, self.dim_v, self._cache["canon"])
+        return kept
+
+    def _closure_holds(self, entries) -> bool:
+        """Whether the flat entries make a map of R(S): each row of the
+        closure echelon has a zero dot product with them."""
+        add, mul = self.field.add, self.field.mul
+        return not any(reduce(add, map(mul, row, entries), 0)
+                       for row in self._closure_echelon().values())
+
     def reflexive_closure(self) -> "OperatorSpace":
         """R(S): all g with g(x) in S(x) for every x, RREF-canonical basis.
 
-        The conditions come from ``closure_system``: one forward echelon
-        over the projective points, which stops as soon as its rank forces
-        R(S) = S; then S's own canonical basis is returned.  Otherwise R(S)
-        is the null space of the echelon over all points, read as an RREF
-        basis in one reduction (``null_rref``).
+        R(S) is the null space of the closure echelon (``_closure_echelon``):
+        S's own canonical basis when its scan stopped with the rank forcing
+        R(S) = S, else read as an RREF basis in one reduction (``null_rref``).
         """
         cached = self._cache.get("closure")
         if cached is not None:
             return cached
-        _guard_points(self.field.q, self.dim_u, "closure")
-        _guard_system(self.dim_u, self.dim_v)
+        kept = self._closure_echelon()
         f = self.field
         p, v = self.dim_u, self.dim_v
         width = p * v
-        canon = self._cache["canon"]
-        kept = closure_system(f, p, v, canon)
         if len(kept) == width - self.n:
-            rows = canon
+            rows = self._cache["canon"]
         else:
             rows = null_rref(f, [e for row in kept.values() for e in row],
                              len(kept), width)
@@ -416,7 +464,7 @@ class OperatorSpace:
         return closure
 
     def is_reflexive(self) -> bool:
-        return self.reflexive_closure().n == self.n
+        return len(self._closure_echelon()) == self.dim_u * self.dim_v - self.n
 
     # -- rank structure --
 
@@ -426,10 +474,16 @@ class OperatorSpace:
             return cached
         if self.n == 0:
             raise ValueError("rank scan requires a nonzero space")
-        _guard_points(self.field.q, self.n, "rank scan")
-        dist, best, (witness, _, _) = walk_profile(rank_walk(
-            self.field, self.dim_u, self.dim_v, [m.entries for m in self.basis],
-            _projective[self.field.q, self.n]))
+        f = self.field
+        _guard_points(f.q, self.n, "rank scan")
+        flats, points = [m.entries for m in self.basis], _projective[f.q, self.n]
+        if self.dim_u == self.dim_v == 2:
+            # a nonzero 2x2 member has rank 2 exactly where its determinant,
+            # a quadratic form in the coefficients, is nonzero
+            walk = ((c, None, 2 if d else 1) for c, d in _det_walk(f, flats, points))
+        else:
+            walk = rank_walk(f, self.dim_u, self.dim_v, flats, points)
+        dist, best, (witness, _, _) = walk_profile(walk)
         result = (dist, best, witness)
         self._cache["rank_scan"] = result
         return result
@@ -499,7 +553,7 @@ class AnalysisReport:
 
 
 def analyze(space: OperatorSpace) -> AnalysisReport:
-    closure = space.reflexive_closure()
+    closure_dim = space.dim_u * space.dim_v - len(space._closure_echelon())
     if space.n:
         dist, best, witness = space._rank_scan()
     else:
@@ -509,8 +563,8 @@ def analyze(space: OperatorSpace) -> AnalysisReport:
         p=space.dim_u,
         dim_v=space.dim_v,
         n=space.n,
-        reflexive=closure.n == space.n,
-        closure_dim=closure.n,
+        reflexive=closure_dim == space.n,
+        closure_dim=closure_dim,
         mrk=best,
         mrk_witness=witness,
         rank_distribution=dist,

@@ -257,6 +257,28 @@ def test_census_guard_exit_5(tmp_path, monkeypatch):
     assert code == 0 and json.loads(out)["rank_profile"] == {"1": 6, "2": 3}
 
 
+def test_census_closure_guard_exit_5_after_the_in_space_test(tmp_path, monkeypatch):
+    # GF(3) 2x2: the closure walks 4 points.  Against a guard of 3, g in S
+    # still exits 4, and any other g exits 5 on the closure walk
+    spath = tmp_path / "s.json"
+    spath.write_text(dumps({
+        "field": {"p": 3, "k": 1}, "dim_u": 2, "dim_v": 2,
+        "basis": [{"rows": 2, "cols": 2, "entries": [[1, 0], [0, 0]]},
+                  {"rows": 2, "cols": 2, "entries": [[0, 1], [0, 0]]}]}))
+    paths = {}
+    for name, entries in [("in_s", [[1, 2], [0, 0]]), ("e21", [[0, 0], [1, 0]])]:
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(dumps({"rows": 2, "cols": 2, "entries": entries}))
+    monkeypatch.setenv("REFLEXFF_GUARD", "3")
+    code, out, err = run_cli(["census", str(spath), str(paths["in_s"])])
+    assert code == 4 and out == "" and "g in S" in err
+    code, out, err = run_cli(["census", str(spath), str(paths["e21"])])
+    assert code == 5 and out == "" and err.startswith("error: closure walk")
+    monkeypatch.setenv("REFLEXFF_GUARD", "4")
+    code, out, err = run_cli(["census", str(spath), str(paths["e21"])])
+    assert code == 4 and out == "" and "g not in R(S)" in err
+
+
 def test_single_space_walk_past_the_guard_exit_5(tmp_path):
     # (2^26 - 1) points of GF(2)^26 for the closure and local dependence
     # walks; the one-member rank scan stays inside the guard

@@ -16,6 +16,7 @@ from reflexff import (
     Matrix,
     OperatorSpace,
     SearchParams,
+    analyze,
     enumerate_subspaces,
     exhaustive_verify,
     field_from_order,
@@ -34,7 +35,8 @@ from reference import reference_closure_basis, reference_rank_scan
 
 def check_space(space):
     """Closure basis, closure dimension and rank scan agree with the
-    reference; returns the reference closure dimension and mrk."""
+    reference, and a 2x2 rank scan with the rank walk too; returns the
+    reference closure dimension and mrk."""
     want = reference_closure_basis(space)
     got = space.reflexive_closure()
     assert got.canonical_basis() == want
@@ -48,6 +50,8 @@ def check_space(space):
     # early exit or not, the system's nullity is the closure dimension
     assert width - len(kept) == len(want)
     assert _mrk(space.field, space.dim_u, space.dim_v, rows) == best
+    if space.dim_u == space.dim_v == 2 and space.n:
+        check_determinant_scan(space)
     return len(want), best
 
 
@@ -112,6 +116,40 @@ def test_large_fields_match_reference(q):
               for dim_v, n in [(2, 1), (2, 2), (3, 2)]]
     spaces.append(_nonreflexive_pair(f, rng))
     assert [check_space(s) for s in spaces][-1] == (3, 1)
+
+
+def check_determinant_scan(space):
+    """A 2x2 space's rank scan (by its determinant form) against the
+    memoized rank walk it replaced and against ``reference_rank_scan``:
+    the distribution in its insertion order, mrk and the witness."""
+    f, n = space.field, space.n
+    dist, best, witness = space._rank_scan()
+    walked, least, (first, _, _) = opspace.walk_profile(opspace.rank_walk(
+        f, 2, 2, [m.entries for m in space.basis], opspace._projective[f.q, n]))
+    ref_dist, ref_best, ref_witness = reference_rank_scan(space)
+    assert list(dist.items()) == list(walked.items()) == list(ref_dist.items())
+    assert best == least == ref_best
+    assert witness == first == ref_witness
+
+
+@pytest.mark.parametrize("field", [
+    *[(q, None) for q in (2, 3, 4, 5)],
+    (8, (1, 1, 0, 1)), (8, (1, 0, 1, 1)), (9, None),
+], ids=["gf2", "gf3", "gf4", "gf5", "gf8-x3+x+1", "gf8-x3+x2+1", "gf9"])
+def test_determinant_rank_scan_matches_the_walk_on_whole_slices(field):
+    q, modulus = field
+    f = field_from_order(q) if modulus is None else field_make(2, 3, modulus)
+    rng = random.Random(q)
+    ranks = set()
+    for n in (1, 2, 3):
+        for rows in enumerate_subspaces(q, 4, n):
+            space = OperatorSpace(f, 2, 2, [Matrix(f, 2, 2, r) for r in rows])
+            check_determinant_scan(space)
+            ranks |= set(space.rank_distribution())
+        # and random bases, out of RREF
+        for _ in range(20):
+            check_determinant_scan(_random_space(f, 2, 2, n, rng))
+    assert ranks == {1, 2}
 
 
 @pytest.mark.parametrize("q,shapes", [
@@ -202,6 +240,68 @@ def check_insertion(space, want):
     is the reference closure ``want``."""
     assert system_closure(space) == want
     assert space.reflexive_closure().canonical_basis() == want
+
+
+def check_echelon_reads(space, rng):
+    """``analyze``'s closure_dim and reflexive, ``is_reflexive`` and the
+    echelon membership test against the built ``reflexive_closure``: on
+    each map of R(S) and of S, on random maps, and on one map per kept row
+    that breaks that row's condition alone."""
+    f, width = space.field, space.dim_u * space.dim_v
+    report = analyze(space)
+    closure = space.reflexive_closure()
+    assert report.closure_dim == closure.n
+    assert report.reflexive == space.is_reflexive() == (closure.n == space.n)
+    maps = list(closure.basis) + list(space.basis) + [
+        Matrix(f, space.dim_v, space.dim_u, [rng.randrange(f.q) for _ in range(width)])
+        for _ in range(4)]
+    rows = list(space._closure_echelon().values())
+    for i in range(len(rows)):
+        others = [e for row in rows[:i] + rows[i + 1:] for e in row]
+        g = next(g for g in null_rref(f, others, len(rows) - 1, width)
+                 if not closure.contains(Matrix(f, space.dim_v, space.dim_u, g)))
+        maps.append(Matrix(f, space.dim_v, space.dim_u, g))
+    for g in maps:
+        assert space._closure_holds(g.entries) == closure.contains(g)
+
+
+@pytest.mark.parametrize("q,dim_u,dim_v,ns", [
+    (2, 3, 2, (1, 2, 3, 4)), (2, 2, 3, (1, 2, 3, 4)), (3, 2, 2, (1, 2, 3)),
+], ids=["gf2-3x2", "gf2-2x3", "gf3-2x2"])
+def test_echelon_reads_match_the_closure_on_whole_slices(q, dim_u, dim_v, ns):
+    f = field_from_order(q)
+    rng = random.Random(40 + q)
+    for n in ns:
+        for rows in enumerate_subspaces(q, dim_u * dim_v, n):
+            check_echelon_reads(OperatorSpace(
+                f, dim_u, dim_v, [Matrix(f, dim_v, dim_u, r) for r in rows]), rng)
+
+
+@pytest.mark.parametrize("q", [257, 512])
+def test_echelon_reads_match_the_closure_without_a_memo(q):
+    f = field_from_order(q)
+    rng = random.Random(41 * q)
+    for dim_v, n in [(2, 1), (2, 2), (3, 2)]:
+        for _ in range(3):
+            check_echelon_reads(_random_space(f, 2, dim_v, n, rng), rng)
+        check_echelon_reads(_embedded_pair(f, 2, dim_v, rng), rng)
+    check_echelon_reads(_nonreflexive_pair(f, rng), rng)
+
+
+def test_echelon_reads_match_the_closure_on_gf3_without_a_memo(monkeypatch):
+    monkeypatch.setattr(opspace, "_closure_memos", {})
+    memo = opspace._closure_memo
+    monkeypatch.setattr(opspace, "_closure_memo", lambda *a: None)
+    f = field_from_order(3)
+    rng = random.Random(43)
+    for dim_u, dim_v, n in [(2, 2, 1), (2, 2, 2), (2, 2, 3), (3, 2, 2), (2, 3, 2)]:
+        for _ in range(12):
+            check_echelon_reads(_random_space(f, dim_u, dim_v, n, rng), rng)
+        check_echelon_reads(_embedded_pair(f, dim_u, dim_v, rng), rng)
+    assert not opspace._closure_memos
+    monkeypatch.setattr(opspace, "_closure_memo", memo)
+    check_echelon_reads(_embedded_pair(f, 2, 2, rng), rng)
+    assert set(opspace._closure_memos) == {(f, 2, 2)}
 
 
 @pytest.mark.parametrize("q,dim_u,dim_v,n,count", [
@@ -382,9 +482,17 @@ def test_rank_memo_keys_separate_fields(monkeypatch):
                 dist, best, witness = reference_rank_scan(space)
                 assert space.rank_distribution() == dist
                 assert space.mrk() == (best, witness)
+                # a 2x2 rank scan reads determinants, not the memo; the
+                # coset entries + S walk ranks entries itself (c = 0)
+                flats = [m.entries for m in space.basis]
+                for _, member, rank in opspace.rank_walk(
+                        f, 2, 2, flats, iter_vectors(8, len(flats)), entries):
+                    assert rank == mat_rank(Matrix(f, 2, 2, member))
     memos = opspace._rank_memos
     assert set(memos) == {(gf8_a, 2, 2), (gf8_b, 2, 2)}
-    assert all(memos[(gf8_a, 2, 2)][e] != memos[(gf8_b, 2, 2)][e] for e in sample)
+    ranks_a, ranks_b = memos[(gf8_a, 2, 2)], memos[(gf8_b, 2, 2)]
+    assert all(e in ranks_a and e in ranks_b and ranks_a[e] != ranks_b[e]
+               for e in sample)
 
 
 def test_rank_memo_stops_taking_members_at_its_bound(monkeypatch):
@@ -517,7 +625,7 @@ def test_memo_free_points_rows_have_distinct_leads(monkeypatch, dim_v):
                                        (2, 3, 3)])
 def test_memo_free_determinant_shortcut_matches_the_memo_path(monkeypatch, q, dim_u, n):
     # dim_v = 2: the loop without a memo skips each point where f_1(x) and
-    # f_2(x) have a nonzero determinant; every point it reduces has
+    # f_2(x) have a nonzero determinant; it reduces exactly the points of
     # determinant 0, and at n = 3 some of those still have full-rank images
     f = field_from_order(q)
     width = dim_u * 2
@@ -525,26 +633,33 @@ def test_memo_free_determinant_shortcut_matches_the_memo_path(monkeypatch, q, di
     skipped = full_rank = 0
     for rows in enumerate_subspaces(q, width, n):
         memo_kept = closure_system(f, dim_u, 2, rows)
-        reached = []
-        conditions = opspace._point_conditions
-        with monkeypatch.context() as m:
-            m.setattr(opspace, "_closure_memo", lambda *a: None)
-            m.setattr(opspace, "_point_conditions", lambda field, x, v, images: (
-                reached.append((x, images)), conditions(field, x, v, images))[1])
-            kept = closure_system(f, dim_u, 2, rows)
-        assert len(kept) == len(memo_kept)
-        assert (null_rref(f, [e for r in kept.values() for e in r], len(kept), width)
-                == null_rref(f, [e for r in memo_kept.values() for e in r],
-                             len(memo_kept), width))
-        for x, images in reached:
-            f1, f2 = images[:2], images[2:4]
-            assert f.mul(f1[0], f2[1]) == f.mul(f1[1], f2[0])
-            full_rank += len(rref_rows(f, [images[i:i + 2] for i in range(0, 2 * n, 2)],
-                                       width=2)[0]) == 2
-        # the scan stops at a reduced point once the system forces R(S) = S
-        visited = (points.index(reached[-1][0]) + 1 if len(kept) == width - n
-                   else len(points))
-        skipped += visited - len(reached)
+        # the RREF basis, and one out of RREF: f_1 + f_2, f_1, f_3, ...
+        for flats in (rows, (tuple(map(f.add, rows[0], rows[1])), *rows[:1], *rows[2:])):
+            reached = []
+            conditions = opspace._point_conditions
+            with monkeypatch.context() as m:
+                m.setattr(opspace, "_closure_memo", lambda *a: None)
+                m.setattr(opspace, "_point_conditions", lambda field, x, v, images: (
+                    reached.append((x, images)), conditions(field, x, v, images))[1])
+                kept = closure_system(f, dim_u, 2, flats)
+            assert len(kept) == len(memo_kept)
+            assert (null_rref(f, [e for r in kept.values() for e in r], len(kept), width)
+                    == null_rref(f, [e for r in memo_kept.values() for e in r],
+                                 len(memo_kept), width))
+            # the points reduced are exactly the zeros of det[f_1(x) f_2(x)],
+            # up to the early exit, with f_k(x) computed afresh here
+            f1, f2 = (Matrix(f, 2, dim_u, fk) for fk in flats[:2])
+            zeros = [x for x in points if f.mul(f1.apply(x)[0], f2.apply(x)[1])
+                     == f.mul(f1.apply(x)[1], f2.apply(x)[0])]
+            assert [x for x, _ in reached] == zeros[:len(reached)]
+            assert len(kept) == width - n or len(reached) == len(zeros)
+            for x, images in reached:
+                full_rank += len(rref_rows(
+                    f, [images[i:i + 2] for i in range(0, 2 * n, 2)], width=2)[0]) == 2
+            # the scan stops at a reduced point once the system forces R(S) = S
+            visited = (points.index(reached[-1][0]) + 1 if len(kept) == width - n
+                       else len(points))
+            skipped += visited - len(reached)
     assert skipped > 0
     assert (full_rank > 0) == (n == 3)
 

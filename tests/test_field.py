@@ -98,6 +98,20 @@ def test_order_limit():
         field_from_order(1000000000000000003)
 
 
+def test_order_limit_names_the_order_one_way():
+    # a (p, k) pair and its order q are refused in the same words; past
+    # k = 16 the pair is named as p^k, since its power is never formed
+    for p, k in [(257, 2), (65537, 1), (3, 11)]:
+        with pytest.raises(ValueError) as by_pair:
+            field_make(p, k)
+        with pytest.raises(ValueError) as by_order:
+            field_from_order(p**k)
+        assert str(by_pair.value) == str(by_order.value)
+    assert str(by_pair.value) == "field order 177147 exceeds the supported 2^16"
+    with pytest.raises(ValueError, match=r"^field order 2\^17 exceeds"):
+        field_make(2, 17)
+
+
 def test_basic_arithmetic_examples():
     gf2 = field_make(2)
     assert gf2.add(1, 1) == 0
