@@ -30,11 +30,10 @@ import sys
 from dataclasses import dataclass, field as dc_field
 from functools import reduce
 
-from . import kernels
 from .errors import GuardExceeded, MembershipError
 from .field import order_split
 # mat_kernel and mat_rank stay bound here: perfbench/tracer.py wraps them by name
-from .matrix import Matrix, iter_vectors, mat_kernel, mat_rank, null_basis  # noqa: F401
+from .matrix import Matrix, iter_vectors, mat_kernel, mat_rank, null_rref  # noqa: F401
 from .opspace import OperatorSpace, _projective, default_guard, rank_walk, walk_profile
 
 BRUTE_GUARD = 1 << 24  # max q^(p+n) pairs for brute incidence counting
@@ -147,7 +146,7 @@ def _nprime(coset: Coset, h0) -> int:
     maps sK are ranked by ``rank_walk`` over the projective classes of S."""
     s = coset.space
     f, q, p, v = s.field, coset.q, coset.p, s.dim_v
-    ker = null_basis(f, *kernels.row_reduce(h0, v, p, f), p)
+    ker = null_rref(f, h0, v, p)
     k = len(ker)
     if not k:
         return 0

@@ -19,13 +19,12 @@ zech[d] = log(1 + g^d), a + b = g^(log a + zech[log b - log a]).
 
 Set-up is a few lookups per element.  The exp table is stepped by
 multiplying by g with lookups on the integer encoding: one multiply mod p
-for GF(p); for p = 2 the XOR of two 256-entry tables, g times each byte;
-for odd p with k > 1 one q-entry "times g" table, built with bytes.translate
-(see _times_table).  Only the generator search and the k columns g * x^j
-multiply digit lists.  Negatives, inverses and the Zech table are C-level
-gathers (map over list.__getitem__) from exp and log.  For q <= 256 every
-element fits in a byte, so each row of the q*q add/mul tables is one or two
-bytes.translate calls of the log bytes.
+for GF(p); for k > 1 one q-entry "times g" table, built with
+bytes.translate (see _times_table).  Only the generator search and the k
+columns g * x^j multiply digit lists.  Negatives, inverses and the Zech
+table are C-level gathers (map over list.__getitem__) from exp and log.
+For q <= 256 every element fits in a byte, so each row of the q*q add/mul
+tables is one or two bytes.translate calls of the log bytes.
 """
 
 from __future__ import annotations
@@ -72,11 +71,12 @@ def _undigits(digits, p: int) -> int:
 
 
 def _times_table(p: int, k: int, columns) -> list[int]:
-    """[g * a for a in range(p**k)], p odd, where columns[j] holds the
+    """[g * a for a in range(p**k)], k > 1, where columns[j] holds the
     digits of g * x^j.
 
     Digit i of g * a is sum_j a_j columns[j][i] mod p, built one digit of a
-    at a time as bytes: the values for a < p^(j+1) are those for a < p^j,
+    at a time as bytes (p**k <= 2^16 with k > 1 puts p <= 251, so a digit
+    fits in a byte): the values for a < p^(j+1) are those for a < p^j,
     shifted by d * columns[j][i] for each digit d.  The k digit strings are
     then summed with weights p^i in 16-bit lanes of one integer.
     """
@@ -302,16 +302,6 @@ class FieldSpec:
                 exp[i] = x
                 log[x] = i
                 x = x * gen % p
-        elif p == 2:
-            # gen * x is the XOR of gen * (byte j of x) * x^(8j), j = 0, 1
-            lo, hi = [0], [0]
-            for j in range(k):
-                t, c = lo if j < 8 else hi, self._mul_poly(gen, 1 << j)
-                t += [e ^ c for e in t]
-            for i in range(q - 1):
-                exp[i] = x
-                log[x] = i
-                x = lo[x & 255] ^ hi[x >> 8]
         else:
             times_gen = _times_table(
                 p, k, [_digits(self._mul_poly(gen, p**j), p, k) for j in range(k)])

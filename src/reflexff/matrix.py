@@ -96,6 +96,7 @@ class Matrix:
         return self + (-other)
 
     def scale(self, c: int):
+        _check_entries(self.field, (c,))
         mul = self.field.mul
         return Matrix(self.field, self.rows, self.cols,
                       tuple(mul(c, a) for a in self.entries))

@@ -205,15 +205,17 @@ def closure_system(field, dim_u, dim_v, flats):
     through the memo's one itemgetter, and one per point, in one lazy
     stream of rows read only up to the early exit.  n = 0 keeps none.
     The points come from the per-process projective cache
-    (``_projective``), memo or not.  Without a memo, at dim_v = 2 and
-    n >= 2, a point where det[f_1(x) f_2(x)] != 0 (a quadratic form in x,
-    nonzero at most points unless it vanishes identically) has
-    S(x) = GF(q)^2 and no conditions: only the form's zeros get images.
+    (``_projective``), memo or not.  Without a memo, a point's images are
+    one ``Matrix.apply`` of the n*dim_v x dim_u stack of the basis maps,
+    as the memo's row values are one product of the points.  There, at
+    dim_v = 2 and n >= 2, a point where det[f_1(x) f_2(x)] != 0 (a
+    quadratic form in x, nonzero at most points unless it vanishes
+    identically) has S(x) = GF(q)^2 and no conditions: only the form's
+    zeros get images.
     """
     p, v = dim_u, dim_v
-    width = p * v
     n = len(flats)
-    target = width - n
+    target = p * v - n
     kept = {}
     if not target:
         return kept
@@ -225,11 +227,9 @@ def closure_system(field, dim_u, dim_v, flats):
         insert(kept, chain.from_iterable(map(getitem, known, zip(*cols))),
                target, field)
         return kept
-    # No memo: the same steps, computed afresh at each point.
-    add, mul = field.add, field.mul
-    # the nonzero (column, entry) pairs of each row of each basis map
-    maprows = [[(j, e) for j, e in enumerate(fk[b:b + p]) if e]
-               for fk in flats for b in range(0, width, p)]
+    # No memo: the same steps, computed afresh at each point, its images
+    # f_k(x) read from one product of the stacked basis maps.
+    stacked = Matrix(field, n * v, p, chain.from_iterable(flats))
     points = _projective[field.q, p]
     if v == 2 and n >= 2:
         # det[f_1(x) f_2(x)] = x^T (a (x) d - b (x) c) x for f_1's rows a, b
@@ -238,16 +238,7 @@ def closure_system(field, dim_u, dim_v, flats):
         points = (x for x, d in _det_walk(field, [
             (f1[j], f1[p + j], f2[j], f2[p + j]) for j in range(p)], points) if not d)
     for x in points:
-        images = []
-        for r in maprows:
-            s = 0
-            for j, e in r:
-                xj = x[j]
-                if xj:
-                    t = e if xj == 1 else mul(e, xj)
-                    s = add(s, t) if s else t
-            images.append(s)
-        cond, _ = _point_conditions(field, x, v, images)
+        cond, _ = _point_conditions(field, x, v, stacked.apply(x))
         if cond and insert(kept, cond, target, field) == target:
             break
     return kept
@@ -393,16 +384,8 @@ class OperatorSpace:
         """The member with the given coefficients on the basis."""
         if len(coeffs) != self.n:
             raise ValueError("coefficient count disagrees with dimension")
-        f = self.field
-        ent = [0] * (self.dim_u * self.dim_v)
-        for c, m in zip(coeffs, self.basis):
-            if c:
-                me = m.entries
-                for i in range(len(ent)):
-                    v = me[i]
-                    if v:
-                        ent[i] = f.add(ent[i], f.mul(c, v))
-        return Matrix(f, self.dim_v, self.dim_u, ent)
+        return sum(map(Matrix.scale, self.basis, coeffs),
+                   Matrix.zero(self.field, self.dim_v, self.dim_u))
 
     def contains(self, m: Matrix) -> bool:
         """Whether m lies in S: it leaves the canonical basis at rank n."""

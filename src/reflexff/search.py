@@ -46,6 +46,8 @@ RNG_NAME = "python-mt19937"
 
 def gaussian_binomial(m: int, k: int, q: int) -> int:
     """Number of k-dimensional subspaces of GF(q)^m."""
+    if not isinstance(q, int) or q < 2:
+        raise ValueError(f"q must be an integer >= 2, got {q!r}")
     if k < 0 or m < 0:
         raise ValueError("dimensions must be non-negative")
     if k > m:

@@ -64,12 +64,17 @@ def check_space(space):
     # dim_v = 1: the shape memo cuts each map into one row
     (2, 1, 3, 2, 7),
     (3, 1, 2, 1, 4),
+    # dim_v = 3: without the memo every point gets images, no determinant
+    # filter
+    (2, 3, 2, 2, 651),
 ])
-def test_slice_matches_reference(q, dim_v, dim_u, n, population):
+def test_slice_matches_reference(q, dim_v, dim_u, n, population, monkeypatch):
     f = field_from_order(q)
+    width = dim_u * dim_v
     nonreflexive = 0
     hist = {}
-    for rows in enumerate_subspaces(q, dim_u * dim_v, n):
+    slice_ = list(enumerate_subspaces(q, width, n))
+    for rows in slice_:
         space = OperatorSpace(f, dim_u, dim_v,
                               [Matrix(f, dim_v, dim_u, r) for r in rows])
         closure_dim, mrk = check_space(space)
@@ -80,6 +85,18 @@ def test_slice_matches_reference(q, dim_v, dim_u, n, population):
     assert report.spaces_examined == population
     assert report.nonreflexive_count == nonreflexive
     assert report.mrk_histogram == hist
+
+    def closures():
+        for rows in slice_:
+            kept = closure_system(f, dim_u, dim_v, rows)
+            yield null_rref(f, [e for row in kept.values() for e in row],
+                            len(kept), width)
+
+    # the memo-free path, which no shape this small takes unforced, reads
+    # the same closure of every space as the memo
+    with_memo = list(closures())
+    monkeypatch.setattr(opspace, "_closure_memo", lambda *shape: None)
+    assert list(closures()) == with_memo
 
 
 def _random_space(f, dim_u, dim_v, n, rng):

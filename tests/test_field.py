@@ -305,7 +305,8 @@ NONPRIMITIVE_729 = (3, 6, (1, 0, 2, 0, 0, 0, 1))
 
 
 @pytest.mark.parametrize("q", [
-    243, 256, 257, 512, 729, 59049, 65521, 65536,
+    243, 256, 257, 512, 729, 1024, 2048, 4096, 8192, 16384, 32768,
+    59049, 65521, 65536,
     pytest.param(NONPRIMITIVE_729, id="729-nonprimitive"),
 ])
 def test_sampled_arithmetic_matches_the_digit_oracle(q):

@@ -8,13 +8,15 @@ from reflexff import (
     Matrix,
     OperatorSpace,
     analyze,
+    coset_make,
     enumerate_subspaces,
+    field_from_order,
     field_make,
     iter_projective,
     mat_rank,
 )
 from reflexff import kernels
-from oracles import brute_closure_set, space_element_set
+from oracles import brute_closure_set, combine, space_element_set
 
 GF2 = field_make(2)
 GF3 = field_make(3)
@@ -60,6 +62,29 @@ def test_eval_space_rejects_entries_outside_the_field(bad):
     assert s.eval_space((1, 2)) == ((1, 2),)
     with pytest.raises(ValueError, match="outside"):
         s.eval_space((1, bad))
+
+
+@pytest.mark.parametrize("q", [4, 5, 257])
+def test_coefficients_outside_the_field_are_refused(q):
+    f = field_from_order(q)
+    ident, e12 = Matrix.identity(f, 2), Matrix(f, 2, 2, (0, 1, 0, 0))
+    s = OperatorSpace(f, 2, 2, [ident, e12])
+    coset = coset_make(s, Matrix(f, 2, 2, (1, 0, 0, 0)))
+    rng = random.Random(q)
+    for _ in range(20):
+        coeffs = (rng.randrange(q), rng.randrange(q))
+        want = combine(f, [m.entries for m in s.basis], coeffs, 4)
+        assert s.element(coeffs).entries == want
+        assert coset.member(coeffs) == coset.g + Matrix(f, 2, 2, want)
+    # a coefficient is a field element like any entry: -1 must not wrap to
+    # another element, and q, q + 1 must not read past a table
+    for c in (-1, q, q + 1):
+        with pytest.raises(ValueError, match="outside"):
+            ident.scale(c)
+        with pytest.raises(ValueError, match="outside"):
+            s.element((c, 1))
+        with pytest.raises(ValueError, match="outside"):
+            coset.member((1, c))
 
 
 def test_eval_space_scaling_invariance():

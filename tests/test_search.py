@@ -42,6 +42,16 @@ def test_gaussian_binomial_values():
         gaussian_binomial(2, 3, 2)
 
 
+@pytest.mark.parametrize("q", [1, 0, -2, 2.5, True, "2"])
+def test_gaussian_binomial_rejects_a_bad_q(q):
+    # a q that is no field order is refused up front, never counted
+    for k in (0, 1, 2):
+        with pytest.raises(ValueError, match="q must be an integer >= 2"):
+            gaussian_binomial(3, k, q)
+        with pytest.raises(ValueError, match="q must be an integer >= 2"):
+            next(enumerate_subspaces(q, 3, k))
+
+
 def test_enumerate_lines_of_gf2_squared():
     got = {rows[0] for rows in enumerate_subspaces(2, 2, 1)}
     assert got == {(1, 0), (0, 1), (1, 1)}
