@@ -54,17 +54,6 @@ class Coset:
         self.g = g
         self.q, self.p, self.n = space.field.q, space.dim_u, space.n
 
-    def size(self) -> int:
-        return self.q**self.n
-
-    def elements(self):
-        """(coefficients, g + sum c_i f_i) in lexicographic coefficient order."""
-        for coeffs in iter_vectors(self.q, self.n):
-            yield coeffs, self.member(coeffs)
-
-    def member(self, coeffs) -> Matrix:
-        return self.g + self.space.element(coeffs)
-
 
 def coset_make(space: OperatorSpace, g: Matrix) -> Coset:
     return Coset(space, g)
@@ -72,7 +61,7 @@ def coset_make(space: OperatorSpace, g: Matrix) -> Coset:
 
 def _guard(coset: Coset):
     """GuardExceeded when T's q^n members pass the guard."""
-    size, guard = coset.size(), default_guard()
+    size, guard = coset.q**coset.n, default_guard()
     if size > guard:
         raise GuardExceeded(f"coset of {size} members exceeds the guard {guard}")
 
@@ -118,8 +107,10 @@ def incidence_count(coset: Coset, mode: str = "formula") -> int:
         if pairs > BRUTE_GUARD:
             raise GuardExceeded(
                 f"brute incidence needs {pairs} pairs, over the guard {BRUTE_GUARD}")
-        members = [h for _, h in coset.elements()]
-        zero = (0,) * coset.space.dim_v
+        s = coset.space
+        members = [sum(map(Matrix.scale, s.basis, c), coset.g)
+                   for c in iter_vectors(q, s.n)]
+        zero = (0,) * s.dim_v
         return sum(h.apply(x) == zero for x in iter_vectors(q, p) for h in members)
     raise ValueError(f"mode must be 'formula' or 'brute', got {mode!r}")
 
@@ -290,7 +281,7 @@ def proof_trace(q: int, p: int, n: int, profile: dict) -> TraceReport:
     checks it: a prime power up to 2^16, with no field built.
     """
     order_split(q)
-    if not isinstance(p, int) or p < 1 or not isinstance(n, int) or n < 1:
+    if type(p) is not int or p < 1 or type(n) is not int or n < 1:
         raise ValueError("p and n must be integers >= 1")
     profile = {int(k): int(v) for k, v in profile.items()}
     if any(v < 0 for v in profile.values()):

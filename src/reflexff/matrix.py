@@ -33,8 +33,8 @@ class Matrix:
 
     def __init__(self, field: FieldSpec, rows: int, cols: int, entries):
         entries = tuple(entries)
-        if rows < 0 or cols < 0:
-            raise ValueError("matrix dimensions must be non-negative")
+        if type(rows) is not int or type(cols) is not int or rows < 0 or cols < 0:
+            raise ValueError(f"matrix dimensions {rows!r} x {cols!r} are not integers >= 0")
         if len(entries) != rows * cols:
             raise ValueError(
                 f"expected {rows * cols} entries for a {rows}x{cols} matrix, "
@@ -47,13 +47,6 @@ class Matrix:
     @classmethod
     def zero(cls, field, rows, cols):
         return cls(field, rows, cols, (0,) * (rows * cols))
-
-    @classmethod
-    def identity(cls, field, n):
-        ent = [0] * (n * n)
-        for i in range(n):
-            ent[i * n + i] = 1
-        return cls(field, n, n, ent)
 
     def row(self, i) -> tuple:
         c = self.cols

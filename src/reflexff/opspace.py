@@ -333,8 +333,8 @@ class OperatorSpace:
     __slots__ = ("field", "dim_u", "dim_v", "basis", "_cache")
 
     def __init__(self, field, dim_u, dim_v, basis):
-        if dim_u < 1 or dim_v < 1:
-            raise ValueError("dim_u and dim_v must be >= 1")
+        if type(dim_u) is not int or type(dim_v) is not int or dim_u < 1 or dim_v < 1:
+            raise ValueError("dim_u and dim_v must be integers >= 1")
         basis = tuple(basis)
         for m in basis:
             if not isinstance(m, Matrix):
@@ -379,13 +379,6 @@ class OperatorSpace:
     def canonical_basis(self) -> tuple:
         """RREF rows of the flattened basis; identifies the space uniquely."""
         return self._cache["canon"]
-
-    def element(self, coeffs) -> Matrix:
-        """The member with the given coefficients on the basis."""
-        if len(coeffs) != self.n:
-            raise ValueError("coefficient count disagrees with dimension")
-        return sum(map(Matrix.scale, self.basis, coeffs),
-                   Matrix.zero(self.field, self.dim_v, self.dim_u))
 
     def contains(self, m: Matrix) -> bool:
         """Whether m lies in S: it leaves the canonical basis at rank n."""

@@ -95,13 +95,13 @@ def _count_subspaces(m: int, k: int, q: int, guard: int) -> int:
                         f"GF({q})^{m} exceeds the guard {guard}")
 
 
-def enumerate_subspaces(q: int, ambient: int, k: int, guard: int | None = None):
+def enumerate_subspaces(q: int, ambient: int, k: int):
     """Each k-dimensional subspace of GF(q)^ambient exactly once, as its
-    unique RREF basis; ordered by pivot pattern, then free entries."""
-    if guard is None:
-        gaussian_binomial(ambient, k, q)  # a k outside [0, ambient] raises
-    else:
-        _count_subspaces(ambient, k, q, guard)
+    unique RREF basis; ordered by pivot pattern, then free entries.  Lazy
+    and unguarded: a bad q or k raises ValueError at the first ``next``, and
+    a caller that walks a whole slice bounds it first, as ``exhaustive_verify``
+    does with its guard (``_count_subspaces``)."""
+    gaussian_binomial(ambient, k, q)
     for pivots in combinations(range(ambient), k):
         yield from _pattern_subspaces(q, ambient, pivots)
 
@@ -288,7 +288,7 @@ def _search(params: SearchParams, mode: str, extremal: bool) -> SearchReport:
     """Validate, bound, run and report the search ``params`` in ``mode``.
 
     A malformed mode, the other mode, a malformed shape, n, job count,
-    guard or sample count raises ValueError, and a slice, its closure walk,
+    guard, sample count or seed raises ValueError, and a slice, its closure walk,
     a sample walk past the guard, a sample draw past the process guard
     (``default_guard``), a shape past the closure-system bound
     (``opspace.SYSTEM_GUARD``) or a sample count past the guard raises
@@ -299,6 +299,10 @@ def _search(params: SearchParams, mode: str, extremal: bool) -> SearchReport:
             f"mode must be 'exhaustive' or 'random', got {params.mode!r}")
     if params.mode != mode:
         raise ValueError(f"{params.mode} mode is run by {params.mode}_verify")
+    for name in ("dim_u", "dim_v", "n", "samples", "seed", "jobs", "guard"):
+        value = getattr(params, name)
+        if type(value) is not int and (name != "guard" or value is not None):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
     if params.dim_u < 1 or params.dim_v < 1:
         raise ValueError("dim_u and dim_v must be >= 1")
     f, n = params.field, params.n
@@ -406,6 +410,8 @@ def construct_regular_rep(base: FieldSpec, n: int) -> OperatorSpace:
     """
     if base.k != 1:
         raise ValueError("regular representation requires a prime base field")
+    if type(n) is not int:
+        raise ValueError(f"n must be an integer, got {n!r}")
     if n < 1:
         raise ValueError("n must be >= 1")
     p = base.p

@@ -6,9 +6,10 @@ reference.
 The closure here takes S(x) point by point through ``eval_space``, solves
 one ``mat_kernel`` per point for its annihilator, stacks every condition
 into one constraint matrix over all points and solves it once.  The rank
-scan builds a ``Matrix`` for every projective member and ranks it with
-``mat_rank``.  Both use row reduction, so unlike ``oracles`` they are a
-second implementation, not an independent one.
+scan builds a ``Matrix`` for every projective member (its entries from
+``oracles.combine``) and ranks it with ``mat_rank``.  Both use row
+reduction, so unlike ``oracles`` they are a second implementation, not an
+independent one.
 """
 
 from itertools import product
@@ -20,6 +21,7 @@ from reflexff import (
     mat_rank,
     rref_rows,
 )
+from oracles import combine
 
 
 def reference_closure_basis(space) -> tuple:
@@ -58,10 +60,12 @@ def reference_closure_basis(space) -> tuple:
 
 def reference_rank_scan(space):
     """(rank distribution, minimal rank, lexicographically first witness)."""
+    f, v, p = space.field, space.dim_v, space.dim_u
+    flats = [m.entries for m in space.basis]
     dist = {}
     best = witness = None
-    for coeffs in iter_projective(space.field.q, space.n):
-        r = mat_rank(space.element(coeffs))
+    for coeffs in iter_projective(f.q, space.n):
+        r = mat_rank(Matrix(f, v, p, combine(f, flats, coeffs, v * p)))
         dist[r] = dist.get(r, 0) + 1
         if best is None or r < best:
             best, witness = r, coeffs

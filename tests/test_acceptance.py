@@ -101,7 +101,7 @@ def test_criterion_3_division_algebra_family():
 
 
 def test_criterion_4_census_equality_case():
-    space = OperatorSpace(GF2, 2, 2, [Matrix.identity(GF2, 2),
+    space = OperatorSpace(GF2, 2, 2, [Matrix(GF2, 2, 2, (1, 0, 0, 1)),
                                       Matrix(GF2, 2, 2, (0, 1, 1, 1))])
     g = Matrix(GF2, 2, 2, (1, 0, 0, 0))
     coset = coset_make(space, g)

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import math
 import random
@@ -8,6 +9,7 @@ from itertools import product
 import pytest
 
 from reflexff import (
+    DependentBasisError,
     GuardExceeded,
     Matrix,
     MembershipError,
@@ -19,6 +21,7 @@ from reflexff import (
     field_from_order,
     field_make,
     incidence_count,
+    iter_projective,
     mat_rank,
     nprime_count,
     proof_trace,
@@ -26,14 +29,28 @@ from reflexff import (
 from reflexff import census, kernels, opspace
 from reflexff.census import Check
 from reflexff.serialize import dumps
-from oracles import brute_closure_set, space_element_set
+from oracles import brute_closure_set, combine, space_element_set
 
 GF2 = field_make(2)
 GF3 = field_make(3)
 
 
+def member(coset, coeffs):
+    """g + sum c_k f_k, by ``oracles.combine``: no row reduction."""
+    s = coset.space
+    flats = [coset.g.entries] + [b.entries for b in s.basis]
+    return Matrix(s.field, s.dim_v, s.dim_u,
+                  combine(s.field, flats, (1,) + tuple(coeffs), s.dim_u * s.dim_v))
+
+
+def members(coset):
+    """{coefficients: member} over all q^n members of T, in lexicographic
+    coefficient order."""
+    return {c: member(coset, c) for c in product(range(coset.q), repeat=coset.n)}
+
+
 def worked_coset():
-    ident = Matrix.identity(GF2, 2)
+    ident = Matrix(GF2, 2, 2, (1, 0, 0, 1))
     m = Matrix(GF2, 2, 2, (0, 1, 1, 1))
     s = OperatorSpace(GF2, 2, 2, [ident, m])
     e11 = Matrix(GF2, 2, 2, (1, 0, 0, 0))
@@ -41,12 +58,12 @@ def worked_coset():
 
 
 def test_coset_validation():
-    ident = Matrix.identity(GF2, 2)
+    ident = Matrix(GF2, 2, 2, (1, 0, 0, 1))
     m = Matrix(GF2, 2, 2, (0, 1, 1, 1))
     s = OperatorSpace(GF2, 2, 2, [ident, m])
     e11 = Matrix(GF2, 2, 2, (1, 0, 0, 0))
     t = coset_make(s, e11)
-    assert t.size() == 4
+    assert len(members(t)) == 4
     with pytest.raises(MembershipError) as exc:
         coset_make(s, ident)
     assert exc.value.which == "in_space"
@@ -60,10 +77,10 @@ def test_coset_validation():
 
 def test_coset_avoids_zero_and_has_q_to_n_members():
     t = worked_coset()
-    members = [h for _, h in t.elements()]
-    assert len(members) == 4
-    assert len(set(m.entries for m in members)) == 4
-    assert Matrix.zero(GF2, 2, 2) not in members
+    hs = list(members(t).values())
+    assert len(hs) == 4
+    assert len(set(m.entries for m in hs)) == 4
+    assert Matrix.zero(GF2, 2, 2) not in hs
 
 
 def test_incidence_worked_example():
@@ -87,7 +104,8 @@ def test_incidence_all_invertible_profile_is_arithmetic_floor():
         assert coverage.holds is False
 
 
-def test_incidence_modes_agree_on_random_cosets():
+def random_cosets():
+    """30 seeded cosets over GF(2) and GF(3), dim_u and dim_v in {2, 3}."""
     rng = random.Random(424242)
     built = 0
     while built < 30:
@@ -106,21 +124,23 @@ def test_incidence_modes_agree_on_random_cosets():
         if closure.n == s.n:
             continue
         g = next(b for b in closure.basis if not s.contains(b))
-        t = coset_make(s, g)
-        assert incidence_count(t, "formula") == incidence_count(t, "brute")
+        yield coset_make(s, g)
         built += 1
+
+
+def test_incidence_modes_agree_on_random_cosets():
+    for t in random_cosets():
+        assert incidence_count(t, "formula") == incidence_count(t, "brute")
 
 
 def test_incidence_coverage_floor():
     t = worked_coset()
     q, p, n = t.q, t.p, t.n
     # every projective point must be killed by some member of T
-    from reflexff import iter_projective
-
-    members = [h for _, h in t.elements()]
+    hs = members(t).values()
     zero = (0,) * t.space.dim_v
     for x in iter_projective(q, p):
-        assert any(h.apply(x) == zero for h in members)
+        assert any(h.apply(x) == zero for h in hs)
     assert incidence_count(t, "formula") >= q**n + q**p - 1
 
 
@@ -150,14 +170,14 @@ def test_rank_profile_worked_example():
 
 def test_nprime_invertible_h0_is_zero():
     t = worked_coset()
-    h0 = t.member((1, 1))  # E11 + I + M = [[0,1],[1,0]], invertible
+    h0 = member(t, (1, 1))  # E11 + I + M = [[0,1],[1,0]], invertible
     assert mat_rank(h0) == 2
     assert nprime_count(t, h0) == 0
 
 
 def test_nprime_worked_example():
     t = worked_coset()
-    h0 = t.member((1, 0))  # E11 + I = [[0,0],[0,1]], kernel span{(1,0)}
+    h0 = member(t, (1, 0))  # E11 + I = [[0,0],[0,1]], kernel span{(1,0)}
     assert h0.entries == (0, 0, 0, 1)
     assert nprime_count(t, h0) == 0  # no other member kills (1, 0)
 
@@ -165,7 +185,7 @@ def test_nprime_worked_example():
 def test_nprime_upper_bound_and_membership_error():
     t = worked_coset()
     for coeffs in [(0, 0), (1, 0), (0, 1), (1, 1)]:
-        h0 = t.member(coeffs)
+        h0 = member(t, coeffs)
         bound = (2**(t.p - mat_rank(h0)) - 1) * (2**t.n - 1)
         assert 0 <= nprime_count(t, h0) <= bound
     with pytest.raises(ValueError):
@@ -334,10 +354,10 @@ def test_chain_shape_at_p_2n_minus_1_fails_coverage(q, n):
 
 def test_coset_walks_stop_at_the_search_guard(monkeypatch):
     # span{I, E12} over GF(3) and g = E11: a coset of 9 members
-    s = OperatorSpace(GF3, 2, 2, [Matrix.identity(GF3, 2),
+    s = OperatorSpace(GF3, 2, 2, [Matrix(GF3, 2, 2, (1, 0, 0, 1)),
                                   Matrix(GF3, 2, 2, (0, 1, 0, 0))])
     t = coset_make(s, Matrix(GF3, 2, 2, (1, 0, 0, 0)))
-    h0 = t.member((0, 0))
+    h0 = member(t, (0, 0))
     want = census_report(t).to_dict()
     monkeypatch.setenv("REFLEXFF_GUARD", "8")
     walks = []
@@ -380,9 +400,11 @@ def test_trace_validation():
         proof_trace(2, 3, 2, {2: -4, 1: 8})
     with pytest.raises(ValueError):
         proof_trace(1, 3, 2, {2: 1})
-    for p, n in ((0, 1), (-1, 1), (3, 0), (3, -2), (3.0, 1), (3, 1.0)):
+    # True == 1 passes every range check: a bool p or n was echoed as true
+    for p, n in ((0, 1), (-1, 1), (3, 0), (3, -2), (3.0, 1), (3, 1.0),
+                 (True, 1), (2, True)):
         with pytest.raises(ValueError, match="p and n must be integers >= 1"):
-            proof_trace(2, p, n, {0: 2})
+            proof_trace(2, p, n, {0: 1, 1: 1})
 
 
 def test_trace_is_exact_for_big_values():
@@ -419,9 +441,12 @@ def test_trace_json_serializes_big_integers_as_strings():
 SHAPES = {2: [(2, 2), (3, 2), (2, 3)], 3: [(2, 2), (3, 2)], 4: [(2, 2)], 5: [(2, 2)]}
 
 
+@functools.cache
 def seeded_spaces(q, count, seed):
     """``count`` seeded spaces over GF(q) with n in {1, 2}, each with its
-    closure fully enumerated; at least half are non-reflexive."""
+    closure fully enumerated; at least half are non-reflexive.  Kept per
+    argument tuple: the enumeration is the costly part, and several tests
+    read the same spaces without changing them."""
     f = field_from_order(q)
     rng = random.Random(seed)
     found, reflexive = [], 0
@@ -466,12 +491,12 @@ def test_coset_make_accepts_exactly_the_closure_outside_s(q):
 def brute_nprime(coset, h0_coeffs):
     """Pairs (x, h), x a nonzero vector killed by h0, h another member of
     T killing x, by enumerating every x."""
-    members = dict(coset.elements())
-    h0 = members.pop(h0_coeffs)
+    others = members(coset)
+    h0 = others.pop(h0_coeffs)
     zero = (0,) * coset.space.dim_v
     return sum(1 for x in product(range(coset.q), repeat=coset.p)
                if any(x) and h0.apply(x) == zero
-               for h in members.values() if h.apply(x) == zero)
+               for h in others.values() if h.apply(x) == zero)
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5])
@@ -484,13 +509,13 @@ def test_census_report_matches_separate_computations(q):
             coset = coset_make(s, Matrix(s.field, s.dim_v, s.dim_u, entries))
             p, n = coset.p, coset.n
             rep = census_report(coset)
-            ranks = [(coeffs, mat_rank(h)) for coeffs, h in coset.elements()]
+            ranks = [(coeffs, mat_rank(h)) for coeffs, h in members(coset).items()]
             profile = Counter(rk for _, rk in ranks)
             r = min(profile)
             h0_coeffs = next(coeffs for coeffs, rk in ranks if rk == r)
             m = sum(c for rk, c in profile.items() if rk <= n)
             total = incidence_count(coset, "brute")
-            nprime = nprime_count(coset, coset.member(h0_coeffs))
+            nprime = nprime_count(coset, member(coset, h0_coeffs))
             assert nprime == brute_nprime(coset, h0_coeffs)
             assert (rep.q, rep.p, rep.n) == (q, p, n)
             assert rep.incidence_count == total
@@ -541,17 +566,17 @@ def test_nprime_matches_brute_force_past_gf5(q):
     counts, ranks = [], set()
     for dim_u in (2, 3):
         coset = _pair_coset(f, dim_u, rng)
-        members = dict(coset.elements())
-        chosen = set(rng.sample(sorted(members), 5))
+        hs = members(coset)
+        chosen = set(rng.sample(sorted(hs), 5))
         # a rank-2 h0 (invertible at dim_u = 2: k = 0) and census's own h0
-        chosen.add(next(c for c, h in members.items() if mat_rank(h) == 2))
+        chosen.add(next(c for c, h in hs.items() if mat_rank(h) == 2))
         rep = census_report(coset)
         chosen.add(rep.h0_coeffs)
         for coeffs in sorted(chosen):
-            nprime = nprime_count(coset, members[coeffs])
+            nprime = nprime_count(coset, hs[coeffs])
             assert nprime == brute_nprime(coset, coeffs)
             counts.append(nprime)
-            ranks.add((dim_u, mat_rank(members[coeffs])))
+            ranks.add((dim_u, mat_rank(hs[coeffs])))
         assert rep.nprime_count == brute_nprime(coset, rep.h0_coeffs)
     assert {(2, 2), (2, 1), (3, 2)} <= ranks and any(counts)
 
@@ -571,11 +596,11 @@ def test_census_report_ranks_each_member_once(monkeypatch):
                             lambda m, *a: built.append(a) or init(m, *a))
         census_report(coset)
         monkeypatch.undo()
-        p, v, q, n, size = coset.p, coset.space.dim_v, coset.q, coset.n, coset.size()
+        p, v, q, n = coset.p, coset.space.dim_v, coset.q, coset.n
         # one rank per member and h0's kernel, then at most one rank of sK
         # per projective class [s] of S, K a basis of Ker h0 (k vectors)
         k = p - census._profile(census._walk(coset), n)[1]
-        assert shapes[v, p] == size + 1
+        assert shapes[v, p] == q**n + 1
         assert set(shapes) == {(v, p), (v, k)}
         assert 0 < shapes[v, k] <= (q**n - 1) // (q - 1)
         assert built == []
@@ -595,3 +620,78 @@ def test_census_report_counts_nprime_past_the_brute_guard(monkeypatch):
             assert rep.to_dict()["nprime_count"] == str(rep.nprime_count)
             counts.append(rep.nprime_count)
     assert len(counts) >= 4 and any(counts)
+
+
+# the census shapes (q, dim_v, dim_u, n) of the ``reports`` benchmark's
+# seeded non-reflexive spaces; its regular representations over GF(2),
+# GF(3) and GF(5) are added below
+REPORTS_CENSUS_SHAPES = [(2, 2, 3, 3), (2, 2, 4, 2), (2, 3, 4, 3), (3, 2, 2, 2),
+                         (3, 2, 3, 2), (4, 2, 2, 2), (5, 2, 2, 2), (9, 2, 2, 2)]
+REPORTS_REGULAR = [(2, n) for n in range(2, 7)] + [(3, 2), (3, 3), (3, 4), (5, 2), (5, 3)]
+
+
+def seeded_witness(s, rng):
+    """A seeded member of R(S) outside S, or None when S is reflexive."""
+    closure = s.reflexive_closure()
+    if closure.n == s.n:
+        return None
+    f, width = s.field, s.dim_u * s.dim_v
+    flats = [b.entries for b in closure.basis]
+    while True:
+        g = Matrix(f, s.dim_v, s.dim_u, combine(
+            f, flats, [rng.randrange(f.q) for _ in flats], width))
+        if not s.contains(g):
+            return g
+
+
+def census_cosets():
+    """The cosets that the tests above build, from each of their builders,
+    then seeded cosets at every census shape of ``reports``."""
+    yield worked_coset()
+    yield coset_make(OperatorSpace(GF3, 2, 2, [Matrix(GF3, 2, 2, (1, 0, 0, 1)),
+                                              Matrix(GF3, 2, 2, (0, 1, 0, 0))]),
+                     Matrix(GF3, 2, 2, (1, 0, 0, 0)))
+    yield from random_cosets()
+    for q in (2, 3, 4, 5):
+        for seed, count in [(6100, 4), (6300, 6)] + [(6400, 6)] * (q < 4):
+            for s, closure, own in seeded_spaces(q, count, seed + q):
+                for entries in sorted(closure - own):
+                    yield coset_make(s, Matrix(s.field, s.dim_v, s.dim_u, entries))
+    for q in (7, 8, 9):
+        rng = random.Random(6500 + q)
+        for dim_u in (2, 3):
+            yield _pair_coset(field_from_order(q), dim_u, rng)
+    rng = random.Random(6600)
+    for q, dim_v, dim_u, n in REPORTS_CENSUS_SHAPES:
+        f, built = field_from_order(q), 0
+        while built < 5:
+            try:
+                s = OperatorSpace(f, dim_u, dim_v, [Matrix(
+                    f, dim_v, dim_u, [rng.randrange(q) for _ in range(dim_v * dim_u)])
+                    for _ in range(n)])
+            except DependentBasisError:
+                continue
+            g = seeded_witness(s, rng)
+            if g is not None:
+                yield coset_make(s, g)
+                built += 1
+    for p, n in REPORTS_REGULAR:
+        s = construct_regular_rep(field_make(p), n)
+        yield coset_make(s, seeded_witness(s, rng))
+
+
+def test_incidence_counted_by_points():
+    # for g in R(S), h = g + s kills x exactly when s(x) = -g(x), a value of
+    # S(x): q^(n - dim S(x)) members of T kill each x != 0, alike for its
+    # q - 1 multiples, and all q^n kill x = 0.  This counts #N from the
+    # points' evaluation spaces, the census from the members' ranks.
+    by_points = {}  # S -> #N, the same for every coset of S
+    cosets = 0
+    for t in census_cosets():
+        s, q, n = t.space, t.q, t.n
+        if s not in by_points:
+            by_points[s] = q**n + (q - 1) * sum(q**(n - len(s.eval_space(x)))
+                                                for x in iter_projective(q, t.p))
+        assert census_report(t).incidence_count == by_points[s]
+        cosets += 1
+    assert cosets > 3500  # 3,558: most are the GF(4), GF(5) witnesses of seed 6100

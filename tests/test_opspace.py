@@ -8,7 +8,6 @@ from reflexff import (
     Matrix,
     OperatorSpace,
     analyze,
-    coset_make,
     enumerate_subspaces,
     field_from_order,
     field_make,
@@ -23,7 +22,7 @@ GF3 = field_make(3)
 
 
 def span_im():
-    ident = Matrix.identity(GF2, 2)
+    ident = Matrix(GF2, 2, 2, (1, 0, 0, 1))
     m = Matrix(GF2, 2, 2, (0, 1, 1, 1))
     return OperatorSpace(GF2, 2, 2, [ident, m])
 
@@ -38,14 +37,19 @@ def test_make_and_validation():
     s = span_im()
     assert s.n == 2
     with pytest.raises(DependentBasisError):
-        ident = Matrix.identity(GF2, 2)
+        ident = Matrix(GF2, 2, 2, (1, 0, 0, 1))
         OperatorSpace(GF2, 2, 2, [ident, ident])
     empty = OperatorSpace(GF2, 2, 2, [])
     assert empty.n == 0
     with pytest.raises(ValueError):
-        OperatorSpace(GF2, 2, 2, [Matrix.identity(GF2, 3)])
+        OperatorSpace(GF2, 2, 2, [Matrix(GF2, 3, 3, (1, 0, 0, 0, 1, 0, 0, 0, 1))])
     with pytest.raises(ValueError):
-        OperatorSpace(GF2, 2, 2, [Matrix.identity(GF3, 2)])
+        OperatorSpace(GF2, 2, 2, [Matrix(GF3, 2, 2, (1, 0, 0, 1))])
+    # True == 1: a bool dim_v met a 1-row basis, and the space file written
+    # from it, "dim_v": true, was then refused by load_space
+    for dim_u, dim_v in ((2, True), (2, 1.0), (True, 2)):
+        with pytest.raises(ValueError, match="dim_u and dim_v must be integers >= 1"):
+            OperatorSpace(GF2, dim_u, dim_v, [Matrix(GF2, 1, 2, (1, 0))])
 
 
 def test_eval_space_examples():
@@ -58,7 +62,7 @@ def test_eval_space_examples():
 
 @pytest.mark.parametrize("bad", [-1, 3, 1.5])
 def test_eval_space_rejects_entries_outside_the_field(bad):
-    s = OperatorSpace(GF3, 2, 2, [Matrix.identity(GF3, 2)])
+    s = OperatorSpace(GF3, 2, 2, [Matrix(GF3, 2, 2, (1, 0, 0, 1))])
     assert s.eval_space((1, 2)) == ((1, 2),)
     with pytest.raises(ValueError, match="outside"):
         s.eval_space((1, bad))
@@ -67,24 +71,21 @@ def test_eval_space_rejects_entries_outside_the_field(bad):
 @pytest.mark.parametrize("q", [4, 5, 257])
 def test_coefficients_outside_the_field_are_refused(q):
     f = field_from_order(q)
-    ident, e12 = Matrix.identity(f, 2), Matrix(f, 2, 2, (0, 1, 0, 0))
-    s = OperatorSpace(f, 2, 2, [ident, e12])
-    coset = coset_make(s, Matrix(f, 2, 2, (1, 0, 0, 0)))
+    ident, e12 = Matrix(f, 2, 2, (1, 0, 0, 1)), Matrix(f, 2, 2, (0, 1, 0, 0))
+    g = Matrix(f, 2, 2, (1, 0, 0, 0))
     rng = random.Random(q)
     for _ in range(20):
         coeffs = (rng.randrange(q), rng.randrange(q))
-        want = combine(f, [m.entries for m in s.basis], coeffs, 4)
-        assert s.element(coeffs).entries == want
-        assert coset.member(coeffs) == coset.g + Matrix(f, 2, 2, want)
+        # the member g + c_1 I + c_2 E12, built as the brute incidence count
+        # builds each member of a coset
+        want = combine(f, [g.entries, ident.entries, e12.entries], (1,) + coeffs, 4)
+        assert sum(map(Matrix.scale, (ident, e12), coeffs), g).entries == want
     # a coefficient is a field element like any entry: -1 must not wrap to
     # another element, and q, q + 1 must not read past a table
     for c in (-1, q, q + 1):
-        with pytest.raises(ValueError, match="outside"):
-            ident.scale(c)
-        with pytest.raises(ValueError, match="outside"):
-            s.element((c, 1))
-        with pytest.raises(ValueError, match="outside"):
-            coset.member((1, c))
+        for m in (ident, e12):
+            with pytest.raises(ValueError, match="outside"):
+                m.scale(c)
 
 
 def test_eval_space_scaling_invariance():
@@ -198,7 +199,7 @@ def test_mrk_regular_gf8():
     from reflexff import iter_vectors
 
     for coeffs in iter_projective(2, 3):
-        m = s.element(coeffs)
+        m = Matrix(GF2, 3, 3, combine(GF2, [b.entries for b in s.basis], coeffs, 9))
         killed = [x for x in iter_vectors(2, 3)
                   if any(x) and m.apply(x) == (0, 0, 0)]
         assert killed == []
@@ -217,7 +218,7 @@ def test_rank_distribution_examples():
 def test_lld_examples(monkeypatch):
     assert span_e11_e12().is_lld()
     assert not span_im().is_lld()
-    ident = Matrix.identity(GF2, 2)
+    ident = Matrix(GF2, 2, 2, (1, 0, 0, 1))
     assert not OperatorSpace(GF2, 2, 2, [ident]).is_lld()
     # GF(2)^2 has 3 projective points: the walk refuses a guard of 2
     monkeypatch.setenv("REFLEXFF_GUARD", "2")
@@ -240,7 +241,7 @@ def test_hyperplane_lld_examples():
     s_e11 = OperatorSpace(GF2, 2, 2, [e11])
     assert not extended(s_e11, e22).is_lld()
     zero_space = OperatorSpace(GF2, 2, 2, [])
-    assert not extended(zero_space, Matrix.identity(GF2, 2)).is_lld()
+    assert not extended(zero_space, Matrix(GF2, 2, 2, (1, 0, 0, 1))).is_lld()
 
 
 def test_nonreflexive_hyperplane_extension_is_lld():
@@ -270,7 +271,7 @@ def test_reduced_space_identity_case():
     s = span_im()
     reduced, qmap = s.reduced()
     assert reduced == s
-    assert qmap == Matrix.identity(GF2, 2)
+    assert qmap == Matrix(GF2, 2, 2, (1, 0, 0, 1))
 
 
 def test_reduced_space_drops_dead_column():
@@ -370,7 +371,7 @@ def test_analyze_report_fields():
 
 
 def test_space_equality_is_span_equality():
-    ident = Matrix.identity(GF2, 2)
+    ident = Matrix(GF2, 2, 2, (1, 0, 0, 1))
     m = Matrix(GF2, 2, 2, (0, 1, 1, 1))
     im = Matrix(GF2, 2, 2, (1, 1, 1, 0))  # I + M
     s1 = OperatorSpace(GF2, 2, 2, [ident, m])

@@ -24,7 +24,7 @@ from reflexff import (
     rref_rows,
 )
 from reflexff import search
-from oracles import brute_rank, duality_closure_set, space_element_set, span_set
+from oracles import brute_rank, combine, duality_closure_set, space_element_set, span_set
 from reference import reference_pattern_subspaces
 
 GF2 = field_make(2)
@@ -62,15 +62,17 @@ def test_enumerate_counts_and_uniqueness():
         subs = list(enumerate_subspaces(q, ambient, k))
         assert len(subs) == gaussian_binomial(ambient, k, q)
         assert len(set(subs)) == len(subs)
-    # a guard of exactly the count admits the enumeration, one less refuses it
+    # a search's guard of exactly the count admits the slice, one less
+    # refuses it; the enumeration yields exactly that many bases
     for q in (2, 3, 4):
         for ambient in range(1, 5):
             for k in range(ambient + 1):
                 total = gaussian_binomial(ambient, k, q)
-                assert len(list(enumerate_subspaces(q, ambient, k, total))) == total
+                assert search._count_subspaces(ambient, k, q, total) == total
+                assert len(list(enumerate_subspaces(q, ambient, k))) == total
                 if total > 1:
                     with pytest.raises(GuardExceeded):
-                        next(enumerate_subspaces(q, ambient, k, total - 1))
+                        search._count_subspaces(ambient, k, q, total - 1)
     # k = 0 is the one empty pivot pattern, with the one empty basis
     assert list(enumerate_subspaces(2, 4, 0)) == [()]
 
@@ -132,11 +134,14 @@ def test_enumeration_yields_before_walking_its_pattern(python_child):
 
 
 def test_enumerate_guard():
-    with pytest.raises(GuardExceeded):
-        list(enumerate_subspaces(2, 6, 2, guard=100))
+    # [6, 2]_2 = 651 spaces: a search of 2x3 maps with n = 2 is refused
+    with pytest.raises(GuardExceeded, match="guard 100"):
+        search._count_subspaces(6, 2, 2, 100)
+    with pytest.raises(GuardExceeded, match=r"2-dimensional subspaces of GF\(2\)\^6"):
+        exhaustive_verify(SearchParams(field=GF2, dim_u=2, dim_v=3, n=2, guard=100))
     # [240, 120]_2 has over 4300 digits: the message names the shape instead
     with pytest.raises(GuardExceeded, match=r"120-dimensional subspaces of GF\(2\)\^240"):
-        next(enumerate_subspaces(2, 240, 120, guard=100))
+        search._count_subspaces(240, 120, 2, 100)
 
 
 def test_guard_env_override(monkeypatch):
@@ -204,6 +209,22 @@ def test_random_rejects_jobs_below_one(jobs):
                           samples=3, jobs=jobs)
     with pytest.raises(ValueError, match="jobs"):
         random_verify(params)
+
+
+@pytest.mark.parametrize("name", ["dim_u", "dim_v", "n", "samples", "seed", "jobs",
+                                  "guard"])
+@pytest.mark.parametrize("value", [True, False, 2.0, "2"])
+def test_search_refuses_a_count_that_is_not_an_int(name, value):
+    # a bool was echoed into the report as true, or as "True" for the guard;
+    # a float job count failed inside multiprocessing with a TypeError
+    for mode, run in (("exhaustive", exhaustive_verify), ("random", random_verify)):
+        params = SearchParams(**{**dict(field=GF2, dim_u=2, dim_v=2, n=1, mode=mode,
+                                        samples=3, seed=5, guard=1000), name: value})
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got {value!r}$"):
+            run(params)
+    # None is the guard's default, and nothing else's
+    assert random_verify(SearchParams(field=GF2, dim_u=2, dim_v=2, n=1, mode="random",
+                                      samples=3, guard=None)).guard > 0
 
 
 @pytest.mark.parametrize("mode", ["Random", "", "exhaustive "])
@@ -405,7 +426,8 @@ def test_regular_rep_every_nonzero_member_invertible():
     for q, n in [(2, 2), (2, 3), (3, 2), (5, 2)]:
         s = construct_regular_rep(field_make(q), n)
         for coeffs in iter_projective(q, n):
-            assert mat_rank(s.element(coeffs)) == n
+            member = combine(s.field, [b.entries for b in s.basis], coeffs, n * n)
+            assert mat_rank(Matrix(s.field, n, n, member)) == n
         assert s.mrk()[0] == n
 
 
@@ -414,11 +436,14 @@ def test_regular_rep_rejects_extension_base():
         construct_regular_rep(field_make(2, 2), 2)
     with pytest.raises(ValueError):
         construct_regular_rep(GF2, 0)
+    for n in (True, 2.0):
+        with pytest.raises(ValueError, match=f"^n must be an integer, got {n!r}$"):
+            construct_regular_rep(GF2, n)
 
 
 def test_regular_rep_n1():
     s = construct_regular_rep(GF3, 1)
-    assert s.n == 1 and s.basis[0] == Matrix.identity(GF3, 1)
+    assert s.n == 1 and s.basis[0] == Matrix(GF3, 1, 1, (1,))
     assert s.is_reflexive()
 
 
