@@ -24,7 +24,11 @@ bytes.translate (see _times_table).  Only the generator search and the k
 columns g * x^j multiply digit lists.  Negatives, inverses and the Zech
 table are C-level gathers (map over list.__getitem__) from exp and log.
 For q <= 256 every element fits in a byte, so each row of the q*q add/mul
-tables is one or two bytes.translate calls of the log bytes.
+tables is one or two bytes.translate calls of the log bytes.  Past that
+limit add_t and mul_t are read-only stand-ins with the same indexing,
+add_t[a * q + b] = a + b and mul_t[a * q + b] = a * b, that call add and
+mul.  This module alone knows which kind a field holds: the elimination
+kernels read both alike.
 """
 
 from __future__ import annotations
@@ -33,10 +37,10 @@ import operator
 import sys
 from array import array
 
-# Up to this order a field also keeps full q*q add/mul tables, their rows
-# read from its exp/log/Zech lists; the elimination kernels scale and clear
-# through them.  Larger fields add and multiply on the lists, and the
-# kernels call their add and mul.
+# Up to this order a field keeps full q*q add/mul tables, their rows read
+# from its exp/log/Zech lists.  Larger fields add and multiply on the lists,
+# and their add_t and mul_t answer the same q*q lookups by calling add and
+# mul, so the elimination kernels read every field one way.
 TABLE_LIMIT = 256
 MAX_ORDER = 1 << 16
 
@@ -98,18 +102,19 @@ def _times_table(p: int, k: int, columns) -> list[int]:
     return table.tolist()
 
 
-def _poly_divides(divisor, poly, p: int) -> bool:
-    """Whether the monic ``divisor`` divides ``poly`` over GF(p)."""
+def _poly_rem(poly, monic, p: int) -> list[int]:
+    """The low len(monic) - 1 digits of ``poly`` mod the ``monic`` polynomial
+    over GF(p), both low-degree-first digit lists."""
     rem = list(poly)
-    dd = len(divisor) - 1
-    for i in range(len(rem) - 1, dd - 1, -1):
+    d = len(monic) - 1
+    # each step clears digit i, which is read no more, so it is left as is
+    for i in range(len(rem) - 1, d - 1, -1):
         c = rem[i]
         if c:
-            rem[i] = 0
-            off = i - dd
-            for j in range(dd):
-                rem[off + j] = (rem[off + j] - c * divisor[j]) % p
-    return not any(rem[:dd])
+            off = i - d
+            for j in range(d):
+                rem[off + j] = (rem[off + j] - c * monic[j]) % p
+    return rem[:d]
 
 
 def poly_is_irreducible(poly, p: int) -> bool:
@@ -120,7 +125,7 @@ def poly_is_irreducible(poly, p: int) -> bool:
     for d in range(1, k // 2 + 1):
         for m in range(p**d):
             divisor = _digits(m, p, d) + [1]
-            if _poly_divides(divisor, poly, p):
+            if not any(_poly_rem(poly, divisor, p)):
                 return False
     return True
 
@@ -159,6 +164,20 @@ def _coefficients(modulus) -> tuple[int, ...]:
     return tuple(out)
 
 
+class _Lookup:
+    """A read-only stand-in for a q*q table of ``op``: entry a * q + b is
+    op(a, b), computed when it is read."""
+
+    __slots__ = ("q", "op")
+
+    def __init__(self, q: int, op):
+        self.q = q
+        self.op = op
+
+    def __getitem__(self, i: int) -> int:
+        return self.op(*divmod(i, self.q))
+
+
 class FieldSpec:
     """An immutable description of GF(p^k) with precomputed tables.
 
@@ -169,7 +188,7 @@ class FieldSpec:
     __slots__ = (
         "p", "k", "q", "modulus",
         "neg_t", "inv_t", "add_t", "mul_t",
-        "_exp", "_log", "_zech", "_hash",
+        "_exp", "_log", "_zech", "_hash", "_tabled",
     )
 
     def __init__(self, p: int, k: int, modulus):
@@ -230,7 +249,9 @@ class FieldSpec:
         zech[h] = -1
         self._zech = zech
 
-        if q <= TABLE_LIMIT:
+        # add and mul test this bool, not add_t: past the limit add_t calls add
+        self._tabled = q <= TABLE_LIMIT
+        if self._tabled:
             # Elements fit in a byte, so each row is a bytes.translate of the
             # log bytes (255 stands for b = 0): mul row a maps log b to
             # exp[log a + log b]; add row a is a (1 + b/a), the row of
@@ -248,7 +269,8 @@ class FieldSpec:
             self.add_t = list(b"".join(add_rows))
             self.mul_t = list(b"".join(mul_rows))
         else:
-            self.add_t = self.mul_t = None
+            self.add_t = _Lookup(q, self.add)
+            self.mul_t = _Lookup(q, self.mul)
 
     # -- raw polynomial arithmetic on encodings (used to build exp/log) --
 
@@ -262,16 +284,7 @@ class FieldSpec:
                 for j, bj in enumerate(db):
                     if bj:
                         res[i + j] = (res[i + j] + ai * bj) % p
-        mod = self.modulus
-        for i in range(2 * k - 2, k - 1, -1):
-            c = res[i]
-            if c:
-                res[i] = 0
-                off = i - k
-                for j in range(k):
-                    if mod[j]:
-                        res[off + j] = (res[off + j] - c * mod[j]) % p
-        return _undigits(res[:k], p)
+        return _undigits(_poly_rem(res, self.modulus, p), p)
 
     def _pow_poly(self, a: int, e: int) -> int:
         r = 1
@@ -316,7 +329,7 @@ class FieldSpec:
     # -- element operations --
 
     def add(self, a: int, b: int) -> int:
-        if self.add_t is not None:
+        if self._tabled:
             return self.add_t[a * self.q + b]
         if a == 0:
             return b
@@ -332,7 +345,7 @@ class FieldSpec:
         return self.neg_t[a]
 
     def mul(self, a: int, b: int) -> int:
-        if self.mul_t is not None:
+        if self._tabled:
             return self.mul_t[a * self.q + b]
         if a == 0 or b == 0:
             return 0

@@ -6,10 +6,10 @@ echelon form.  ``echelon_insert`` adds rows to a forward echelon, a dict
 from lead column to a kept row with lead entry 1, and never reduces the
 rows it keeps: the closure scan needs only its rank, the echelon's size.
 
-Fields up to ``TABLE_LIMIT`` (q <= 256) carry q*q add/mul tables, and both
-routines scale and clear by lookups in them.  On larger fields, a small
-share of the work, both call the field's add and mul.  The pivot choices
-do not depend on the arithmetic, so both arms give the same output.
+Both scale a row and clear a column by q*q lookups, ``mul_t[a * q + b]``
+and ``add_t[a * q + b]``, on every field.  How those lookups are answered
+is the field's business (see ``reflexff.field``): a stored table up to
+``TABLE_LIMIT``, the field's own add and mul past it.
 """
 
 BACKEND = "python"
@@ -18,11 +18,8 @@ BACKEND = "python"
 def row_reduce(entries, rows, cols, field):
     """RREF of a flat row-major sequence; returns (entry list, pivot tuple)."""
     a = list(entries)
-    neg_t, inv_t, mul_t = field.neg_t, field.inv_t, field.mul_t
-    if mul_t is not None:
-        q, add_t = field.q, field.add_t
-    else:
-        add, mul = field.add, field.mul
+    q, neg_t, inv_t = field.q, field.neg_t, field.inv_t
+    add_t, mul_t = field.add_t, field.mul_t
     pivots = []
     r = 0
     for c in range(cols):
@@ -41,42 +38,23 @@ def row_reduce(entries, rows, cols, field):
             for j in range(c, cols):
                 a[rb + j], a[ib + j] = a[ib + j], a[rb + j]
         piv = a[rb + c]
-        if mul_t is not None:
-            if piv != 1:
-                inv = inv_t[piv]
+        if piv != 1:
+            inv = inv_t[piv]
+            for j in range(c, cols):
+                v = a[rb + j]
+                if v:
+                    a[rb + j] = mul_t[v * q + inv]
+        for i in range(rows):
+            if i == r:
+                continue
+            f = a[i * cols + c]
+            if f:
+                ib = i * cols
+                nf = neg_t[f] * q
                 for j in range(c, cols):
                     v = a[rb + j]
                     if v:
-                        a[rb + j] = mul_t[v * q + inv]
-            for i in range(rows):
-                if i == r:
-                    continue
-                f = a[i * cols + c]
-                if f:
-                    ib = i * cols
-                    nf = neg_t[f] * q
-                    for j in range(c, cols):
-                        v = a[rb + j]
-                        if v:
-                            a[ib + j] = add_t[a[ib + j] * q + mul_t[nf + v]]
-        else:
-            if piv != 1:
-                inv = inv_t[piv]
-                for j in range(c, cols):
-                    v = a[rb + j]
-                    if v:
-                        a[rb + j] = mul(v, inv)
-            for i in range(rows):
-                if i == r:
-                    continue
-                f = a[i * cols + c]
-                if f:
-                    ib = i * cols
-                    nf = neg_t[f]
-                    for j in range(c, cols):
-                        v = a[rb + j]
-                        if v:
-                            a[ib + j] = add(a[ib + j], mul(nf, v))
+                        a[ib + j] = add_t[a[ib + j] * q + mul_t[nf + v]]
         pivots.append(c)
         r += 1
     return a, tuple(pivots)
@@ -93,11 +71,8 @@ def echelon_insert(kept, rows, stop, field):
     rows are never touched again, so the echelon is not reduced: its rank
     is its size.  The insertion stops once ``kept`` holds ``stop`` rows.
     """
-    neg_t, inv_t, mul_t = field.neg_t, field.inv_t, field.mul_t
-    if mul_t is not None:
-        q, add_t = field.q, field.add_t
-    else:
-        add, mul = field.add, field.mul
+    q, neg_t, inv_t = field.q, field.neg_t, field.inv_t
+    add_t, mul_t = field.add_t, field.mul_t
     for lead, row in rows:
         k = kept.get(lead)
         if k is not None:
@@ -107,18 +82,11 @@ def echelon_insert(kept, rows, stop, field):
                 # row -= row[lead] * k, from the column after the lead on
                 f = row[lead]
                 row[lead] = 0
-                if mul_t is not None:
-                    nf = neg_t[f] * q
-                    for j in range(lead + 1, width):
-                        v = k[j]
-                        if v:
-                            row[j] = add_t[row[j] * q + mul_t[nf + v]]
-                else:
-                    nf = neg_t[f]
-                    for j in range(lead + 1, width):
-                        v = k[j]
-                        if v:
-                            row[j] = add(row[j], mul(nf, v))
+                nf = neg_t[f] * q
+                for j in range(lead + 1, width):
+                    v = k[j]
+                    if v:
+                        row[j] = add_t[row[j] * q + mul_t[nf + v]]
                 for lead in range(lead + 1, width):
                     if row[lead]:
                         break
@@ -130,10 +98,7 @@ def echelon_insert(kept, rows, stop, field):
             piv = row[lead]
             if piv != 1:
                 inv = inv_t[piv]
-                if mul_t is not None:
-                    row = [mul_t[v * q + inv] for v in row]
-                else:
-                    row = [mul(v, inv) for v in row]
+                row = [mul_t[v * q + inv] for v in row]
         kept[lead] = row
         if len(kept) == stop:
             break

@@ -170,6 +170,14 @@ def test_closed_stderr_keeps_diagnostics_off_stdout(cli_child):
     assert (code, out, err) == (2, "", "")
 
 
+def _search_child_setup():
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+    # a pytest started with SIGINT ignored, as a background job of a
+    # non-interactive shell is, would pass SIG_IGN on to the child, and a
+    # Python started so installs no KeyboardInterrupt handler
+    signal.signal(signal.SIGINT, signal.SIG_DFL)
+
+
 @pytest.mark.parametrize("jobs", ["1", "2"])
 def test_interrupted_search_exit_130(jobs):
     # Ctrl-C sends SIGINT to the whole foreground process group, pool
@@ -183,7 +191,7 @@ def test_interrupted_search_exit_130(jobs):
          "--dim-u", "3", "--dim-v", "3", "--n", "3", "--jobs", jobs],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
         start_new_session=True, env={**os.environ, "PYTHONPATH": path},
-        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)))
+        preexec_fn=_search_child_setup)
     try:
         time.sleep(2)
         os.killpg(child.pid, signal.SIGINT)

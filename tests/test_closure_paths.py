@@ -6,6 +6,7 @@ walk."""
 import itertools
 import random
 from collections import Counter
+from functools import partial
 
 import pytest
 from hypothesis import assume, given, settings
@@ -25,11 +26,13 @@ from reflexff import (
     rref_rows,
 )
 from reflexff import kernels, opspace, search
-from reflexff.field import FieldSpec
+from reflexff.field import FieldSpec, _Lookup
 from reflexff.matrix import iter_projective, iter_vectors, null_basis, null_rref
 from reflexff.opspace import closure_system
 from reflexff.search import _mrk
-from oracles import brute_closure_set, duality_closure_set, space_element_set
+from oracles import (
+    brute_closure_set, digit_add, digit_mul, duality_closure_set,
+    space_element_set)
 from reference import reference_closure_basis, reference_rank_scan
 
 
@@ -366,9 +369,9 @@ def test_echelon_reads_match_the_closure_on_gf3_without_a_memo(monkeypatch):
     (257, 2, 2, 2, 3), (257, 2, 3, 2, 3), (512, 2, 2, 1, 3), (512, 2, 3, 3, 3),
 ])
 def test_insertion_matches_reference_on_random_spaces(q, dim_u, dim_v, n, count):
-    # the memo path (q <= 4) and the memo-free, table-free path (GF(257),
-    # GF(512)), on random spaces, reflexive at the larger shapes, and on an
-    # embedded non-reflexive pair, which walks every point
+    # the memo path (q <= 4) and the memo-free path past the table limit
+    # (GF(257), GF(512)), on random spaces, reflexive at the larger shapes,
+    # and on an embedded non-reflexive pair, which walks every point
     f = field_from_order(q)
     rng = random.Random(1000 * q + 10 * dim_u + dim_v)
     spaces = [_random_space(f, dim_u, dim_v, n, rng) for _ in range(count)]
@@ -383,14 +386,16 @@ def test_insertion_matches_reference_on_random_spaces(q, dim_u, dim_v, n, count)
     (9, [(2, 2, 2), (2, 3, 2), (2, 3, 4)]),
 ])
 def test_insertion_table_free_arm_on_the_memo_path(monkeypatch, q, shapes):
-    # a copy of GF(q) stripped of its q*q tables takes the table-free arm
-    # of the insertion (the field's own add and mul) on the memo path, with
-    # memos built through it; the reference and the duality oracle run on
-    # the tabled field
+    # a copy of GF(q) whose q*q lookups are stand-ins computed by the digit
+    # oracles, as the lookups of fields past TABLE_LIMIT are computed by the
+    # field's add and mul, runs the insertion on the memo path, with memos
+    # built through it; the reference and the duality oracle run on the
+    # tabled field
     monkeypatch.setattr(opspace, "_closure_memos", {})
     f = field_from_order(q)
     bare = FieldSpec(f.p, f.k, f.modulus)
-    bare.add_t = bare.mul_t = None
+    bare.add_t = _Lookup(q, partial(digit_add, f))
+    bare.mul_t = _Lookup(q, partial(digit_mul, f))
     rng = random.Random(77 * q)
     for dim_u, dim_v, n in shapes:
         spaces = [_random_space(bare, dim_u, dim_v, n, rng) for _ in range(4)]

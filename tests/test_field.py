@@ -181,12 +181,35 @@ def test_field_axioms_sampled(p, k):
 def test_large_field_without_full_tables(p, k):
     f = field_make(p, k)  # q > table limit
     q = f.q
-    assert f.add_t is None and f.mul_t is None
+    # no stored q*q tables: add_t and mul_t are stand-ins (see below)
+    assert not isinstance(f.add_t, list) and not isinstance(f.mul_t, list)
     assert f.mul(2, f.inv(2)) == 1
     rng = random.Random(5)
     for _ in range(2000):
         a, b, c = rng.randrange(q), rng.randrange(q), rng.randrange(q)
         assert f.mul(a, f.add(b, c)) == f.add(f.mul(a, b), f.mul(a, c))
+
+
+@pytest.mark.parametrize("q", [257, 512, 65521, 1 << 16])
+def test_lookups_past_the_table_limit_answer_add_and_mul(q):
+    # the stand-ins the kernels index as q*q tables: entry a * q + b is
+    # add(a, b) or mul(a, b), on seeded pairs and on the corners 0, 1, q - 1
+    f = field_from_order(q)
+    assert q > field.TABLE_LIMIT
+    rng = random.Random(q)
+    corners = [0, 1, q - 1]
+    pairs = [(a, b) for a in corners for b in corners]
+    pairs += [(rng.randrange(q), rng.randrange(q)) for _ in range(2000)]
+    pairs += [(a, rng.randrange(q)) for a in corners for _ in range(50)]
+    pairs += [(rng.randrange(q), b) for b in corners for _ in range(50)]
+    for a, b in pairs:
+        assert f.add_t[a * q + b] == f.add(a, b)
+        assert f.mul_t[a * q + b] == f.mul(a, b)
+    # add and mul commute, so the order of the operands is checked apart:
+    # the row is the first one, the column the second
+    pair = field._Lookup(q, lambda a, b: (a, b))
+    for a, b in pairs:
+        assert pair[a * q + b] == (a, b)
 
 
 def test_field_from_order():

@@ -1,6 +1,8 @@
-"""Kernel equivalence: the table and table-free arithmetic of the one
-elimination loop produce identical output, and the echelon insertion keeps
-the rank and row space that the elimination loop finds."""
+"""Kernel equivalence: the one elimination loop gives the same output on a
+field's own q*q tables and on stand-ins computed by the digit oracles, and
+the textbook Gauss-Jordan output on fields on both sides of TABLE_LIMIT; the
+echelon insertion keeps the rank and row space that the elimination loop
+finds."""
 
 import random
 from functools import partial
@@ -9,7 +11,7 @@ import pytest
 
 from reflexff import field_from_order, field_make, rref_rows
 from reflexff import kernels
-from reflexff.field import FieldSpec
+from reflexff.field import TABLE_LIMIT, FieldSpec, _Lookup
 from reflexff.kernels import BACKEND
 from oracles import digit_add, digit_mul, digit_neg
 
@@ -46,13 +48,22 @@ def test_fields_cover_every_table_field():
     assert len({f.q for f in FIELDS}) == 70 and len(set(FIELDS)) == 72
 
 
+def _stripped(f):
+    """A fresh copy of ``f`` whose add_t and mul_t are stand-ins computed
+    by the digit oracles, not by FieldSpec arithmetic; the copy's own add
+    and mul read them too when q <= TABLE_LIMIT."""
+    bare = FieldSpec(f.p, f.k, f.modulus)
+    bare.add_t = _Lookup(f.q, partial(digit_add, f))
+    bare.mul_t = _Lookup(f.q, partial(digit_mul, f))
+    return bare
+
+
 @pytest.mark.parametrize("q,f", [(f.q, f) for f in FIELDS])
 def test_generic_vs_object_path(q, f):
     # row_reduce runs once on the cached field, through its q*q tables, and
-    # once on a fresh copy stripped of them, through the field's add and mul
-    # as on fields with q > 256
-    bare = FieldSpec(f.p, f.k, f.modulus)
-    bare.add_t = bare.mul_t = None
+    # once on a copy whose lookups call the digit oracles, as the lookups of
+    # fields with q > 256 call the field's add and mul
+    bare = _stripped(f)
     for rows, cols, ent in random_cases(q, 100, seed=q):
         assert kernels.row_reduce(ent, rows, cols, f) == \
             kernels.row_reduce(ent, rows, cols, bare)
@@ -60,14 +71,6 @@ def test_generic_vs_object_path(q, f):
 
 def test_backend_reported():
     assert BACKEND == "python"
-
-
-def _stripped(f):
-    """A fresh copy of ``f`` without its q*q tables, as fields with
-    q > 256 are built."""
-    bare = FieldSpec(f.p, f.k, f.modulus)
-    bare.add_t = bare.mul_t = None
-    return bare
 
 
 def _lead_rows(f, rows):
@@ -166,13 +169,14 @@ def _textbook_rref(arith, rows, cols):
     return [e for row in a for e in row], tuple(pivots)
 
 
-@pytest.mark.parametrize("q", [257, 512, 729, 65521, 65536])
-def test_row_reduce_past_the_table_limit_matches_the_textbook(q):
+@pytest.mark.parametrize("q", [2, 3, 4, 9, 256, 257, 512, 729, 65521, 65536])
+def test_row_reduce_matches_the_textbook(q):
     # seeded row sets with zero, repeated and dependent rows, reduced by
-    # row_reduce through the field's add and mul and by _textbook_rref on
-    # arithmetic of its own
+    # row_reduce through the field's q*q lookups (stored tables up to
+    # TABLE_LIMIT, the field's add and mul past it) and by _textbook_rref
+    # on arithmetic of its own
     f = field_from_order(q)
-    assert f.mul_t is None
+    assert isinstance(f.mul_t, list) == (q <= TABLE_LIMIT)
     arith = _textbook(f)
     add, mul, _, inv = arith
     rng = random.Random(700 + q)
