@@ -28,7 +28,6 @@ from __future__ import annotations
 import operator
 import sys
 from dataclasses import dataclass, field as dc_field
-from functools import reduce
 
 from .errors import GuardExceeded, MembershipError
 from .field import order_split
@@ -133,17 +132,17 @@ def nprime_count(coset: Coset, h0: Matrix) -> int:
 def _nprime(coset: Coset, h0) -> int:
     """``nprime_count`` from the flat entries of h0.  With K a basis of
     Ker h0 (k vectors), h0 + s kills q^(k - rank sK) - 1 of the nonzero
-    kernel vectors of h0, alike for the q - 1 multiples of s; the dim_v x k
-    maps sK are ranked by ``rank_walk`` over the projective classes of S."""
+    kernel vectors of h0, alike for the q - 1 multiples of s.  Each basis
+    map b gives its dim_v x k map bK from one ``Matrix.apply`` per column
+    of K, and the maps sK are ranked by ``rank_walk`` over the projective
+    classes of S."""
     s = coset.space
     f, q, p, v = s.field, coset.q, coset.p, s.dim_v
     ker = null_rref(f, h0, v, p)
     k = len(ker)
     if not k:
         return 0
-    add, mul = f.add, f.mul
-    flats = [[reduce(add, map(mul, b.entries[i:i + p], y)) for i in range(0, v * p, p)
-              for y in ker] for b in s.basis]
+    flats = [[e for row in zip(*map(b.apply, ker)) for e in row] for b in s.basis]
     return (q - 1) * sum(q**(k - rk) - 1 for _, _, rk in
                          rank_walk(f, k, v, flats, _projective[q, coset.n]))
 

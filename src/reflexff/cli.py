@@ -67,9 +67,20 @@ def _meta(command: str, params: dict, field=None) -> dict:
     return meta
 
 
-def _emit(args, payload: dict, pretty_lines=None) -> int:
-    if args.pretty and pretty_lines is not None:
-        text = "\n".join(pretty_lines) + "\n"
+def _emit(args, payload: dict, title=None, skip=(), checks=None) -> int:
+    """Write the report: JSON, or with --pretty and a ``title`` a table of
+    every key but meta, ``checks`` and those in ``skip``, in payload order,
+    then one line per encoded check in ``payload[checks]``: its verdict, or
+    why it was skipped."""
+    if args.pretty and title is not None:
+        hidden = {"meta", checks, *skip}
+        lines = [title, "-" * len(title)]
+        lines += [f"{k:>24}: {v}" for k, v in payload.items() if k not in hidden]
+        for c in payload[checks] if checks else ():
+            state = ("skipped: " + c["reason"] if c["status"] == "skipped"
+                     else f"{c['lhs']} {c['relation']} {c['rhs']} -> {c['holds']}")
+            lines.append(f"{c['name']:>24}: {state}")
+        text = "\n".join(lines) + "\n"
     else:
         text = dumps(payload)
     if args.output:
@@ -82,30 +93,11 @@ def _emit(args, payload: dict, pretty_lines=None) -> int:
     return 0
 
 
-def _kv_lines(d: dict, title: str) -> list:
-    lines = [title, "-" * len(title)]
-    for k, v in d.items():
-        lines.append(f"{k:>24}: {v}")
-    return lines
-
-
-def _check_lines(checks) -> list:
-    """One line per encoded check: its verdict, or why it was skipped."""
-    lines = []
-    for c in checks:
-        state = ("skipped: " + c["reason"] if c["status"] == "skipped"
-                 else f"{c['lhs']} {c['relation']} {c['rhs']} -> {c['holds']}")
-        lines.append(f"{c['name']:>24}: {state}")
-    return lines
-
-
 def cmd_analyze(args) -> int:
     space = load_space(args.space)
     report = analyze(space).to_dict()
     report["meta"] = _meta("analyze", {"space": args.space}, space.field)
-    pretty = _kv_lines({k: v for k, v in report.items() if k != "meta"},
-                       "operator space analysis")
-    return _emit(args, report, pretty)
+    return _emit(args, report, "operator space analysis")
 
 
 def cmd_closure(args) -> int:
@@ -134,9 +126,7 @@ def cmd_census(args) -> int:
     report = census_report(coset).to_dict()
     report["meta"] = _meta("census", {"space": args.space, "g": args.g},
                            space.field)
-    pretty = _kv_lines({k: v for k, v in report.items()
-                        if k not in ("meta", "verdicts")}, "coset census")
-    return _emit(args, report, pretty + _check_lines(report["verdicts"]))
+    return _emit(args, report, "coset census", checks="verdicts")
 
 
 def _clip(text: str) -> str:
@@ -181,11 +171,7 @@ def cmd_trace(args) -> int:
     report = proof_trace(args.q, args.p, args.n, profile).to_dict()
     report["meta"] = _meta(
         "trace", {"q": args.q, "p": args.p, "n": args.n, "profile": args.profile})
-    pretty = _kv_lines({k: report[k] for k in
-                        ("q", "p", "n", "profile", "incidence_exact",
-                         "regime_met", "contradiction", "contradiction_via")},
-                       "counting-argument trace")
-    return _emit(args, report, pretty + _check_lines(report["checks"]))
+    return _emit(args, report, "counting-argument trace", checks="checks")
 
 
 def cmd_search(args) -> int:
@@ -214,12 +200,9 @@ def cmd_search(args) -> int:
          "mode": args.mode, "samples": args.samples, "seed": args.seed,
          "guard": payload["guard"], "extremal": args.extremal},
         field)
-    pretty = _kv_lines({k: v for k, v in payload.items()
-                        if k not in ("meta", "violations", "extremal",
-                                     "max_mrk_witness",
-                                     "bound_2n_minus_3_witness")},
-                       "search report")
-    return _emit(args, payload, pretty)
+    return _emit(args, payload, "search report",
+                 skip=("violations", "extremal", "max_mrk_witness",
+                       "bound_2n_minus_3_witness"))
 
 
 def cmd_construct(args) -> int:

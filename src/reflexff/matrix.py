@@ -99,22 +99,10 @@ class Matrix:
             raise ValueError("field mismatch")
         if self.cols != other.rows:
             raise ValueError("inner dimensions disagree")
-        f = self.field
-        n, m, k = self.rows, other.cols, self.cols
-        a, b = self.entries, other.entries
-        out = [0] * (n * m)
-        for i in range(n):
-            arow = i * k
-            for t in range(k):
-                v = a[arow + t]
-                if v:
-                    brow = t * m
-                    orow = i * m
-                    for j in range(m):
-                        w = b[brow + j]
-                        if w:
-                            out[orow + j] = f.add(out[orow + j], f.mul(v, w))
-        return Matrix(f, n, m, out)
+        # self applied to each column of other; the images are the product's columns
+        m = other.cols
+        cols = [self.apply(other.entries[j::m]) for j in range(m)]
+        return Matrix(self.field, self.rows, m, [e for row in zip(*cols) for e in row])
 
     def apply(self, x) -> tuple:
         """Matrix-vector product, x a tuple of length cols."""

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from functools import partial, reduce
+from functools import partial
 from itertools import chain
 from operator import getitem, itemgetter
 
@@ -410,11 +410,11 @@ class OperatorSpace:
         return kept
 
     def _closure_holds(self, entries) -> bool:
-        """Whether the flat entries make a map of R(S): each row of the
-        closure echelon has a zero dot product with them."""
-        add, mul = self.field.add, self.field.mul
-        return not any(reduce(add, map(mul, row, entries), 0)
-                       for row in self._closure_echelon().values())
+        """Whether the flat entries make a map of R(S): one ``Matrix.apply``
+        of the closure echelon's rows to them gives zero."""
+        kept = self._closure_echelon()
+        return not any(Matrix(self.field, len(kept), len(entries),
+                              chain.from_iterable(kept.values())).apply(entries))
 
     def reflexive_closure(self) -> "OperatorSpace":
         """R(S): all g with g(x) in S(x) for every x, RREF-canonical basis.

@@ -26,10 +26,11 @@ from reflexff import (
     nprime_count,
     proof_trace,
 )
-from reflexff import census, kernels, opspace
+from reflexff import census, kernels, mat_kernel, opspace
 from reflexff.census import Check
+from reflexff.field import TABLE_LIMIT
 from reflexff.serialize import dumps
-from oracles import brute_closure_set, combine, space_element_set
+from oracles import brute_closure_set, combine, space_element_set, span_set
 
 GF2 = field_make(2)
 GF3 = field_make(3)
@@ -581,6 +582,54 @@ def test_nprime_matches_brute_force_past_gf5(q):
     assert {(2, 2), (2, 1), (3, 2)} <= ranks and any(counts)
 
 
+def _regular_rep_2(f):
+    """The multiplication maps of GF(q^2) on GF(q)^2, as
+    ``construct_regular_rep`` builds them for n = 2 (which it cannot past
+    q = 256, GF(q^2) being past 2^16, nor over GF(512), not a prime field):
+    span{I, C}, C the companion matrix of an irreducible x^2 + x + c.
+    Every nonzero member is invertible."""
+    c = next(c for c in range(1, f.q)
+             if all(f.add(f.add(f.mul(r, r), r), c) for r in range(f.q)))
+    return OperatorSpace(f, 2, 2, [Matrix(f, 2, 2, (1, 0, 0, 1)),
+                                   Matrix(f, 2, 2, (0, f.neg_t[c], 1, f.neg_t[1]))])
+
+
+@pytest.mark.parametrize("q", [257, 512])
+def test_coset_and_nprime_past_the_table_limit(q):
+    # past TABLE_LIMIT, coset_make's closure test and the maps sK of
+    # nprime_count run through Matrix.apply on the field's own add and mul
+    f = field_from_order(q)
+    assert q > TABLE_LIMIT
+    e11, e12, e22 = (Matrix(f, 2, 2, [int(i == cell) for i in range(4)])
+                     for cell in (0, 1, 3))
+    rep = _regular_rep_2(f)
+    assert rep.reflexive_closure().n == 4
+    for b in rep.basis:
+        with pytest.raises(MembershipError) as exc:
+            coset_make(rep, b)
+        assert exc.value.which == "in_space"
+        # span{b} is reflexive: b has no eigenvector, or is the identity
+        one = OperatorSpace(f, 2, 2, [b])
+        for g in [e11] + [c for c in rep.basis if c != b]:
+            with pytest.raises(MembershipError) as exc:
+                coset_make(one, g)
+            assert exc.value.which == "not_in_closure"
+    # span{I, E12}: R(S) is the upper triangle, and S(e1) has dimension 1
+    tri = OperatorSpace(f, 2, 2, [e11 + e22, e12])
+    assert tri.reflexive_closure().n == 3
+    counts = []
+    for s, g in ((rep, e11), (tri, e11), (tri, e22)):
+        coset = coset_make(s, g)
+        assert coset.g == g and mat_rank(g) == 1
+        # h = g + s kills a nonzero x of Ker g exactly when s(x) = 0, for
+        # q^(n - dim S(x)) members s of S, one of them 0
+        kernel = span_set(f, mat_kernel(g), 2) - {(0, 0)}
+        expected = sum(q**(s.n - len(s.eval_space(x))) - 1 for x in kernel)
+        assert nprime_count(coset, g) == expected
+        counts.append(expected)
+    assert counts == [0, 0, (q - 1)**2]
+
+
 def test_census_report_ranks_each_member_once(monkeypatch):
     s = construct_regular_rep(GF3, 2)
     g = next(b for b in s.reflexive_closure().basis if not s.contains(b))
@@ -642,6 +691,30 @@ def seeded_witness(s, rng):
             f, flats, [rng.randrange(f.q) for _ in flats], width))
         if not s.contains(g):
             return g
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_nprime_with_fewer_kernel_vectors_than_rows(q):
+    # a rank-2 h0 on GF(q)^4 has k = 2 kernel vectors, so each map sK is
+    # 3 x 2, and its entries read column by column would make another
+    # matrix, of another rank
+    f, rng = field_from_order(q), random.Random(7200 + q)
+    cosets, checked = 0, 0
+    while cosets < 4:
+        try:
+            s = OperatorSpace(f, 4, 3, [Matrix(f, 3, 4, [rng.randrange(q) for _ in range(12)])
+                                        for _ in range(3)])
+        except DependentBasisError:
+            continue
+        g = seeded_witness(s, rng)
+        if g is None:
+            continue
+        coset, cosets = coset_make(s, g), cosets + 1
+        for coeffs, h in members(coset).items():
+            if mat_rank(h) == 2:
+                assert nprime_count(coset, h) == brute_nprime(coset, coeffs)
+                checked += 1
+    assert checked >= 10
 
 
 def census_cosets():

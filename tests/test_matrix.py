@@ -17,7 +17,8 @@ from reflexff import (
 )
 from reflexff import field_from_order, kernels, rref_rows
 from reflexff.matrix import null_basis, null_rref
-from oracles import brute_kernel_count, brute_rank
+from oracles import brute_kernel_count, brute_rank, combine
+from test_kernels import FIELDS as TABLE_FIELDS
 
 FIELDS = {2: field_make(2), 3: field_make(3), 4: field_make(2, 2), 5: field_make(5)}
 
@@ -254,3 +255,50 @@ def test_matrix_pickle_round_trip(field):
     assert copy == m and hash(copy) == hash(m)
     assert copy.field is field
     assert copy.entries == m.entries
+
+
+# every field with q*q tables, and three past TABLE_LIMIT
+PRODUCT_FIELDS = TABLE_FIELDS + [field_from_order(q) for q in (257, 512, 65521)]
+# (rows, inner, cols) of a @ b: empty ones, square ones and skew ones
+PRODUCT_SHAPES = [(0, 0, 0), (0, 3, 2), (2, 0, 3), (3, 2, 0), (1, 1, 1),
+                  (3, 3, 3), (2, 3, 4), (4, 2, 3), (4, 4, 4)]
+
+
+def _oracle_apply(m, x):
+    """m x as the combination of m's columns with the entries of x."""
+    return combine(m.field, [m.entries[j::m.cols] for j in range(m.cols)], x, m.rows)
+
+
+def _oracle_product(a, b):
+    """Entries of a @ b: row i combines b's rows with the entries of a's row i."""
+    rows = [b.row(t) for t in range(b.rows)]
+    return tuple(e for i in range(a.rows) for e in combine(a.field, rows, a.row(i), b.cols))
+
+
+@pytest.mark.parametrize("f", PRODUCT_FIELDS, ids=repr)
+def test_apply_and_product_match_the_oracles(f):
+    rng = random.Random(f.q)
+
+    def draw(rows, cols):
+        density = rng.random()
+        return Matrix(f, rows, cols, [rng.randrange(f.q) if rng.random() < density else 0
+                                      for _ in range(rows * cols)])
+
+    for n, k, m in PRODUCT_SHAPES:
+        a, b = draw(n, k), draw(k, m)
+        for _ in range(3):
+            x = tuple(rng.randrange(f.q) for _ in range(k))
+            assert a.apply(x) == _oracle_apply(a, x)
+        ab = a @ b
+        assert (ab.field, ab.rows, ab.cols) == (f, n, m)
+        assert ab.entries == _oracle_product(a, b)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_product_composes_as_maps(q):
+    f, rng = FIELDS[q], random.Random(7100 + q)
+    for n, k, m in PRODUCT_SHAPES:
+        a = Matrix(f, n, k, [rng.randrange(q) for _ in range(n * k)])
+        b = Matrix(f, k, m, [rng.randrange(q) for _ in range(k * m)])
+        ab = a @ b
+        assert all(ab.apply(x) == a.apply(b.apply(x)) for x in iter_vectors(q, m))

@@ -24,7 +24,7 @@ import tempfile
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PACKAGES = ("pytest", "pluggy", "iniconfig", "packaging", "pygments",
             "hypothesis", "attrs", "sortedcontainers")
-OLDEST = (3, 10)  # requires-python in pyproject.toml
+OLDEST = (3, 10, 7)  # requires-python in pyproject.toml
 TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors",
          "-p", "no:cacheprovider"]
 
@@ -73,7 +73,8 @@ def main(argv):
         for version, python in sorted(found):
             name = ".".join(map(str, version))
             if version < OLDEST:
-                print(f"{name}: not run: older than requires-python >= 3.10")
+                print(f"{name}: not run: older than requires-python >= "
+                      f"{'.'.join(map(str, OLDEST))}")
                 continue
             code, line = run(python, ["-c", "import pytest, hypothesis"], env, 60)
             if code != 0:
