@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 from itertools import chain
 from operator import getitem, itemgetter
 
@@ -134,9 +134,8 @@ def _closure_memo(field, dim_u, dim_v):
     """The shape's memo, created on first use; its points' condition memos
     share ``_MEMO_LIMIT``.  None when the q^dim_u rows' values alone would
     pass it, as at 2x2 over GF(256) and up.  (There, on the ``reports``
-    benchmark's spaces, n = 1 closures stop after 3 points; n = 2 ones test
-    257 of 257 points over GF(256), 155 of 258 over GF(257), 513 of 513 over
-    GF(512) by their determinant, and reduce 0, 2 and 0 of them.)"""
+    benchmark's spaces, n = 1 closures stop after 3 points; n = 2 ones
+    reduce only their determinant's zeros, 0, 2 and 0 points.)"""
     key = (field, dim_u, dim_v)
     memo = _closure_memos.get(key)
     if memo is None:
@@ -208,10 +207,9 @@ def closure_system(field, dim_u, dim_v, flats):
     (``_projective``), memo or not.  Without a memo, a point's images are
     one ``Matrix.apply`` of the n*dim_v x dim_u stack of the basis maps,
     as the memo's row values are one product of the points.  There, at
-    dim_v = 2 and n >= 2, a point where det[f_1(x) f_2(x)] != 0 (a
-    quadratic form in x, nonzero at most points unless it vanishes
-    identically) has S(x) = GF(q)^2 and no conditions: only the form's
-    zeros get images.
+    dim_v = 2 and n >= 2, a point where det[f_1(x) f_2(x)] != 0 has
+    S(x) = GF(q)^2 and no conditions: only that quadratic form's zeros,
+    solved for line by line (``_det_zeros``), are visited at all.
     """
     p, v = dim_u, dim_v
     n = len(flats)
@@ -232,11 +230,9 @@ def closure_system(field, dim_u, dim_v, flats):
     stacked = Matrix(field, n * v, p, chain.from_iterable(flats))
     points = _projective[field.q, p]
     if v == 2 and n >= 2:
-        # det[f_1(x) f_2(x)] = x^T (a (x) d - b (x) c) x for f_1's rows a, b
-        # and f_2's rows c, d: det(sum_j x_j V_j), V_j = [a_j b_j; c_j d_j]
-        f1, f2 = flats[0], flats[1]
-        points = (x for x, d in _det_walk(field, [
-            (f1[j], f1[p + j], f2[j], f2[p + j]) for j in range(p)], points) if not d)
+        # det[f_1(x) f_2(x)] = det(sum_j x_j V_j), V_j = [a_j b_j; c_j d_j]
+        # stacking column j of f_1 (rows a, b) over column j of f_2 (c, d)
+        points = _det_zeros(field, [(*flats[0][j::p], *flats[1][j::p]) for j in range(p)])
     for x in points:
         cond, _ = _point_conditions(field, x, v, stacked.apply(x))
         if cond and insert(kept, cond, target, field) == target:
@@ -244,13 +240,17 @@ def closure_system(field, dim_u, dim_v, flats):
     return kept
 
 
-def _det_walk(field, vecs, points):
-    """(x, det(sum_k x_k V_k)) for each of the points, in order, V_k the 2x2
-    matrix of flat row-major entries vecs[k].  The determinant is the
+def _det_zeros(field, vecs):
+    """The projective zeros x of det(sum_k x_k V_k), in walk order, V_k the
+    2x2 matrix of flat row-major entries vecs[k].  The determinant is the
     quadratic form sum w_kl x_k x_l (k <= l), kept as its nonzero terms:
     w_kk = det V_k, and w_kl = g0 h3 + h0 g3 - g1 h2 - h1 g2 for g = vecs[k],
     h = vecs[l], a polar term that divides by nothing, so exact in
-    characteristic 2 too."""
+    characteristic 2 too.
+
+    Solved a line at a time in ``iter_projective`` order: the form is c at
+    (0, ..., 0, 1), then a + b t + c t^2 at x' + (t,) for each prefix x'
+    one dimension down, a its value at t = 0 and a + b + c at t = 1."""
     add, mul, neg = field.add, field.mul, field.neg
     form = []
     for l, h in enumerate(vecs):
@@ -260,7 +260,8 @@ def _det_walk(field, vecs, points):
                 w = add(w, add(mul(h[0], g[3]), neg(mul(h[1], g[2]))))
             if w:
                 form.append((k, l, w))
-    for x in points:
+
+    def value(x):
         s = 0
         for k, l, w in form:
             a, b = x[k], x[l]
@@ -270,7 +271,59 @@ def _det_walk(field, vecs, points):
                 if b != 1:
                     w = mul(w, b)
                 s = add(s, w) if s else w
-        yield x, s
+        return s
+
+    last = (0,) * (len(vecs) - 1) + (1,)
+    c = value(last)
+    if not c:
+        yield last
+    for x in _projective[field.q, len(vecs) - 1]:
+        a = value(x + (0,))
+        b = add(value(x + (1,)), neg(add(a, c)))
+        yield from (x + (t,) for t in _roots(field, a, b, c))
+
+
+def _roots(field, a, b, c):
+    """The roots t of a + b t + c t^2, ascending (every t when a = b = c =
+    0), read exactly off the field's exp/log and inverse tables."""
+    add, mul, neg, inv = field.add, field.mul, field.neg, field.inv
+    if not c:
+        return [mul(neg(a), inv(b))] if b else [] if a else range(field.q)
+    a, b = mul(a, inv(c)), mul(b, inv(c))
+    exp, log, q = field._exp, field._log, field.q
+    if field.p == 2:
+        if not b:  # t = sqrt(a) = a^(q/2)
+            return [exp[log[a] * (q // 2) % (q - 1)] if a else 0]
+        # t = b z with z^2 + z = a/b^2: z -> z^2 + z is GF(2)-linear on the
+        # encoding's bits, so z is read off that map's echelon
+        y, z = mul(a, inv(mul(b, b))), 0
+        for lead, image, pre in _artin_schreier(field):
+            if y >> lead & 1:
+                y, z = y ^ image, z ^ pre
+        return [] if y else sorted((mul(b, z), mul(b, z ^ 1)))
+    # odd p: (t + h)^2 = h^2 - a = d with h = b/2; a nonzero d is a square
+    # iff its log is even
+    h = mul(b, inv(add(1, 1)))
+    d = add(mul(h, h), neg(a))
+    if not d:
+        return [neg(h)]
+    s = exp[log[d] // 2]
+    return [] if log[d] % 2 else sorted((add(s, neg(h)), neg(add(s, h))))
+
+
+@cache
+def _artin_schreier(field):
+    """An echelon of z -> z^2 + z on the bits of GF(2^k)'s encodings, as
+    (lead bit, image, preimage) rows, leads descending."""
+    rows = []
+    for z in (1 << i for i in range(field.k)):
+        y = field.mul(z, z) ^ z
+        for lead, image, pre in rows:
+            if y >> lead & 1:
+                y, z = y ^ image, z ^ pre
+        if y:
+            rows = sorted([*rows, (y.bit_length() - 1, y, z)], reverse=True)
+    return rows
 
 
 def rank_walk(field, dim_u, dim_v, flats, coeff_vectors, offset=None):
@@ -452,14 +505,18 @@ class OperatorSpace:
             raise ValueError("rank scan requires a nonzero space")
         f = self.field
         _guard_points(f.q, self.n, "rank scan")
-        flats, points = [m.entries for m in self.basis], _projective[f.q, self.n]
+        flats, n = [m.entries for m in self.basis], self.n
         if self.dim_u == self.dim_v == 2:
-            # a nonzero 2x2 member has rank 2 exactly where its determinant,
-            # a quadratic form in the coefficients, is nonzero
-            walk = ((c, None, 2 if d else 1) for c, d in _det_walk(f, flats, points))
+            # a nonzero 2x2 member has rank 1 exactly at the zeros of its
+            # determinant, a quadratic form in the coefficients
+            ones = list(_det_zeros(f, flats))
+            first = (0,) * (n - 1) + (1,)
+            counts = [(1, len(ones)), (2, (f.q**n - 1) // (f.q - 1) - len(ones))]
+            dist = {r: c for r, c in (counts if ones[:1] == [first] else counts[::-1]) if c}
+            best, witness = (1, ones[0]) if ones else (2, first)
         else:
-            walk = rank_walk(f, self.dim_u, self.dim_v, flats, points)
-        dist, best, (witness, _, _) = walk_profile(walk)
+            dist, best, (witness, _, _) = walk_profile(
+                rank_walk(f, self.dim_u, self.dim_v, flats, _projective[f.q, n]))
         result = (dist, best, witness)
         self._cache["rank_scan"] = result
         return result
@@ -478,6 +535,8 @@ class OperatorSpace:
         """Whether every vector is annihilated by some nonzero member."""
         n = self.n
         _guard_points(self.field.q, self.dim_u, "local dependence")
+        if n > self.dim_v:  # dim S(x) <= dim_v < n at every x
+            return True
         for x in _projective[self.field.q, self.dim_u]:
             if len(self.eval_space(x)) >= n:
                 return False

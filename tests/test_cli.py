@@ -304,17 +304,44 @@ def test_single_space_walk_past_the_guard_exit_5(tmp_path):
 @pytest.mark.parametrize("command", ["analyze", "closure", "mrk"])
 def test_single_space_guard_env_exit_5(tmp_path, monkeypatch, command):
     # span{I, E12} over GF(3): 4 projective points and 4 projective members
+    # (a memo closure); span{I, [[0, 3], [1, 0]]} over GF(257): 258 of each,
+    # which the guard counts though the determinant's zeros are solved for
+    for p, second, points in [(3, [[0, 1], [0, 0]], 4), (257, [[0, 3], [1, 0]], 258)]:
+        path = tmp_path / f"s{p}.json"
+        path.write_text(dumps({
+            "field": {"p": p, "k": 1}, "dim_u": 2, "dim_v": 2,
+            "basis": [{"rows": 2, "cols": 2, "entries": [[1, 0], [0, 1]]},
+                      {"rows": 2, "cols": 2, "entries": second}]}))
+        monkeypatch.setenv("REFLEXFF_GUARD", str(points - 1))
+        code, out, err = run_cli([command, str(path)])
+        assert code == 5 and out == "" and f"guard {points - 1}" in err
+        monkeypatch.setenv("REFLEXFF_GUARD", str(points))
+        code, out, _ = run_cli([command, str(path)])
+        assert code == 0 and json.loads(out)
+
+
+@pytest.mark.parametrize("field,second,pinned", [
+    ({"p": 257, "k": 1}, [[0, 3], [1, 0]], (2, [0, 1], {"2": 258}, 4)),
+    ({"p": 2, "k": 9}, [[0, 1], [0, 0]], (1, [0, 1], {"1": 1, "2": 512}, 3)),
+], ids=["gf257", "gf512"])
+def test_big_field_2x2_requests_are_pinned(tmp_path, field, second, pinned):
+    # span{I, second}: over GF(257) det(x_0 I + x_1 second) = x_0^2 - 3 x_1^2
+    # has no zero, 3 being no square mod 257; over GF(512) E12 spans the one
+    # rank-one class, and R(S) is the upper triangle
     path = tmp_path / "s.json"
     path.write_text(dumps({
-        "field": {"p": 3, "k": 1}, "dim_u": 2, "dim_v": 2,
+        "field": field, "dim_u": 2, "dim_v": 2,
         "basis": [{"rows": 2, "cols": 2, "entries": [[1, 0], [0, 1]]},
-                  {"rows": 2, "cols": 2, "entries": [[0, 1], [0, 0]]}]}))
-    monkeypatch.setenv("REFLEXFF_GUARD", "3")
-    code, out, err = run_cli([command, str(path)])
-    assert code == 5 and out == "" and "guard 3" in err
-    monkeypatch.setenv("REFLEXFF_GUARD", "4")
-    code, out, _ = run_cli([command, str(path)])
-    assert code == 0 and json.loads(out)
+                  {"rows": 2, "cols": 2, "entries": second}]}))
+    mrk, witness, dist, closure_dim = pinned
+    code, out, _ = run_cli(["analyze", str(path)])
+    report = json.loads(out)
+    assert code == 0 and (report["mrk"], report["mrk_witness"]) == (mrk, witness)
+    assert (report["rank_distribution"], report["closure_dim"]) == (dist, closure_dim)
+    code, out, _ = run_cli(["mrk", str(path)])
+    assert code == 0 and (json.loads(out)["mrk"], json.loads(out)["witness"]) == (mrk, witness)
+    code, out, _ = run_cli(["closure", str(path)])
+    assert code == 0 and len(json.loads(out)["basis"]) == closure_dim
 
 
 def test_trace_contradictions():

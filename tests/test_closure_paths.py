@@ -3,6 +3,7 @@ replaced (``reference``) and against an enumeration-only duality oracle,
 and the edges of the per-shape memos of the closure scan and the rank
 walk."""
 
+import hashlib
 import itertools
 import random
 from collections import Counter
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 
 from reflexff import (
     DependentBasisError,
+    GuardExceeded,
     Matrix,
     OperatorSpace,
     SearchParams,
@@ -31,7 +33,7 @@ from reflexff.matrix import iter_projective, iter_vectors, null_basis, null_rref
 from reflexff.opspace import closure_system
 from reflexff.search import _mrk
 from oracles import (
-    brute_closure_set, digit_add, digit_mul, duality_closure_set,
+    brute_closure_set, combine, digit_add, digit_mul, duality_closure_set,
     space_element_set)
 from reference import reference_closure_basis, reference_rank_scan
 
@@ -152,10 +154,13 @@ def check_determinant_scan(space):
     assert witness == first == ref_witness
 
 
-@pytest.mark.parametrize("field", [
-    *[(q, None) for q in (2, 3, 4, 5)],
-    (8, (1, 1, 0, 1)), (8, (1, 0, 1, 1)), (9, None),
-], ids=["gf2", "gf3", "gf4", "gf5", "gf8-x3+x+1", "gf8-x3+x2+1", "gf9"])
+# (q, modulus) of every field up to GF(9) with both GF(8) moduli
+SMALL_FIELDS = [*[(q, None) for q in (2, 3, 4, 5)],
+                (8, (1, 1, 0, 1)), (8, (1, 0, 1, 1)), (9, None)]
+SMALL_FIELD_IDS = ["gf2", "gf3", "gf4", "gf5", "gf8-x3+x+1", "gf8-x3+x2+1", "gf9"]
+
+
+@pytest.mark.parametrize("field", SMALL_FIELDS, ids=SMALL_FIELD_IDS)
 def test_determinant_rank_scan_matches_the_walk_on_whole_slices(field):
     q, modulus = field
     f = field_from_order(q) if modulus is None else field_make(2, 3, modulus)
@@ -723,6 +728,186 @@ def test_memo_free_determinant_shortcut_matches_the_memo_path(monkeypatch, q, di
             skipped += visited - len(reached)
     assert skipped > 0
     assert (full_rank > 0) == (n == 3)
+
+
+def brute_det_zeros(f, vecs):
+    """The projective x where det(sum_k x_k V_k) = 0, V_k the 2x2 matrix of
+    flat entries vecs[k]: each member is formed by ``oracles.combine`` and
+    its determinant read off its entries, never from a quadratic form."""
+    zeros = []
+    for x in iter_projective(f.q, len(vecs)):
+        m = combine(f, vecs, x, 4)
+        if f.mul(m[0], m[3]) == f.mul(m[1], m[2]):
+            zeros.append(x)
+    return zeros
+
+
+def binary_form(f, a, b, c):
+    """vecs whose determinant is a x_0^2 + b x_0 x_1 + c x_1^2, that is
+    det [[x_0, -c x_1], [x_1, a x_0 + b x_1]]: c at (0, 1), a + b t + c t^2
+    at (1, t)."""
+    return [(1, 0, 0, a), (0, f.neg(c), 1, b)]
+
+
+@pytest.mark.parametrize("field", SMALL_FIELDS, ids=SMALL_FIELD_IDS)
+def test_det_zeros_match_brute_force_on_every_binary_form(field):
+    q, modulus = field
+    f = field_from_order(q) if modulus is None else field_make(2, 3, modulus)
+    counts = set()
+    for form in itertools.product(range(q), repeat=3):
+        vecs = binary_form(f, *form)
+        zeros = list(opspace._det_zeros(f, vecs))
+        assert zeros == brute_det_zeros(f, vecs), form
+        counts.add(len(zeros))
+    # no zero, one, two, and every point (the zero form)
+    assert counts == {0, 1, 2, q + 1}
+
+
+@pytest.mark.parametrize("q,seeded", [(256, 30), (257, 30), (512, 30),
+                                      (1 << 15, 0), (65521, 0)])
+def test_det_zeros_match_brute_force_on_big_binary_forms(q, seeded):
+    # a brute walk of GF(2^15) or GF(65521) takes about 0.3 s, so there
+    # only the two planted forms: two roots c (t - r)(t - s), and the
+    # double root (t - r)^2
+    f = field_from_order(q)
+    rng = random.Random(q)
+    r, s, c = (rng.randrange(1, q) for _ in range(3))
+    forms = [(f.mul(c, f.mul(r, s)), f.neg(f.mul(c, f.add(r, s))), c),
+             (f.mul(r, r), f.neg(f.add(r, r)), 1)]
+    forms += [tuple(rng.randrange(q) for _ in range(3)) for _ in range(seeded)]
+    counts = Counter()
+    for form in forms:
+        vecs = binary_form(f, *form)
+        zeros = list(opspace._det_zeros(f, vecs))
+        assert zeros == brute_det_zeros(f, vecs), form
+        counts[len(zeros)] += 1
+    assert counts[1] and counts[2] and (counts[0] or not seeded)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9])
+def test_det_zeros_match_brute_force_with_vanishing_lines(q):
+    # m = 3 and 4 coordinates.  With V_0 = s V_L for a rank-one V_L, every
+    # member on the line through (1, 0, ..., 0) and (0, ..., 0, 1) is
+    # singular; with every V_k's second column 0, the form is 0 everywhere
+    f = field_from_order(q)
+    rng = random.Random(60 + q)
+    vanishing = 0
+    for m in (3, 4):
+        for trial in range(6):
+            vecs = [tuple(rng.randrange(q) for _ in range(4)) for _ in range(m)]
+            if trial % 3 == 0:
+                u0, u1, w0, w1 = (rng.randrange(1, q) for _ in range(4))
+                vecs[-1] = tuple(f.mul(u, w) for u in (u0, u1) for w in (w0, w1))
+                vecs[0] = tuple(f.mul(rng.randrange(q), e) for e in vecs[-1])
+            elif trial % 3 == 1:
+                vecs = [(v[0], 0, v[2], 0) for v in vecs]
+            zeros = list(opspace._det_zeros(f, vecs))
+            assert zeros == brute_det_zeros(f, vecs), vecs
+            vanishing += list(Counter(x[:-1] for x in zeros).values()).count(q)
+    assert vanishing
+
+
+def _diagonal_pair(f, rng):
+    """P span{I, diag(1, d)} Q for random invertible P, Q and d != 0, 1:
+    its determinant form (x_0 + x_1)(x_0 + d x_1), moved by P and Q, has
+    two zeros on the line (1, t)."""
+    d = rng.randrange(2, f.q)
+    p_mat, q_mat = _invertible(f, 2, rng), _invertible(f, 2, rng)
+    return OperatorSpace(f, 2, 2, [p_mat @ Matrix(f, 2, 2, m) @ q_mat
+                                   for m in ((1, 0, 0, 1), (1, 0, 0, d))])
+
+
+BIG_FIELD_SHAPES = [(2, 1), (2, 2), (2, 2), (2, 3), (3, 2), (3, 3)]
+# Read off the point-by-point determinant walk that the line solver
+# replaced, for the seeded spaces of ``BIG_FIELD_SHAPES`` (dim_u, n) at
+# dim_v = 2, then ``_nonreflexive_pair`` and ``_diagonal_pair``: (closure
+# dimension, sha256 prefix of repr(R(S)'s canonical basis)) and, at 2x2,
+# (rank distribution in walk order, mrk, witness).  None: a 2x3 rank scan
+# (a rank walk, not pinned) or a closure past the default guard; "guard": a
+# rank scan past it.
+BIG_FIELD_PINS = {
+    256: [
+        ((1, "ac228ac53e0e"), ([(2, 1)], 2, (1,))),
+        ((2, "895e769f2468"), ([(2, 255), (1, 2)], 1, (1, 162))),
+        ((2, "61a14868bfe9"), ([(2, 255), (1, 2)], 1, (1, 5))),
+        ((4, "217697c84a1a"), ([(2, 65536), (1, 257)], 1, (1, 1, 127))),
+        ((2, "ae998753cff0"), None),
+        ((3, "fc84fe6a0d0c"), None),
+        ((3, "2ddb92c0a3c4"), ([(1, 1), (2, 256)], 1, (0, 1))),
+        ((2, "c136d9dfc614"), ([(2, 255), (1, 2)], 1, (1, 1))),
+    ],
+    257: [
+        ((1, "2d7bb1b35327"), ([(2, 1)], 2, (1,))),
+        ((2, "833f2a95399b"), ([(2, 256), (1, 2)], 1, (1, 51))),
+        ((4, "217697c84a1a"), ([(2, 258)], 2, (0, 1))),
+        ((4, "217697c84a1a"), ([(2, 66049), (1, 258)], 1, (1, 0, 24))),
+        ((2, "fcb1e3446dd0"), None),
+        ((3, "65290802d757"), None),
+        ((3, "26d89ff21bc7"), ([(1, 1), (2, 257)], 1, (0, 1))),
+        ((2, "b541af567e12"), ([(2, 256), (1, 2)], 1, (1, 26))),
+    ],
+    512: [
+        ((1, "92690a97de3a"), ([(2, 1)], 2, (1,))),
+        ((2, "cf81bff74fb6"), ([(2, 511), (1, 2)], 1, (1, 315))),
+        ((4, "217697c84a1a"), ([(2, 513)], 2, (0, 1))),
+        ((4, "217697c84a1a"), ([(2, 262144), (1, 513)], 1, (1, 0, 140))),
+        ((2, "2f5174e93bf5"), None),
+        ((5, "1c56a3387fc1"), None),
+        ((3, "0c082614d5e9"), ([(1, 1), (2, 512)], 1, (0, 1))),
+        ((2, "8aa4c56e6770"), ([(2, 511), (1, 2)], 1, (1, 1))),
+    ],
+    65536: [
+        ((1, "eaeab7ce3092"), ([(2, 1)], 2, (1,))),
+        ((4, "217697c84a1a"), ([(2, 65537)], 2, (0, 1))),
+        ((4, "217697c84a1a"), ([(2, 65537)], 2, (0, 1))),
+        ((4, "217697c84a1a"), "guard"),
+        (None, None),
+        (None, None),
+        ((3, "bbf3843762a5"), ([(1, 1), (2, 65536)], 1, (0, 1))),
+        ((2, "91f2c648c424"), ([(2, 65535), (1, 2)], 1, (1, 1))),
+    ],
+}
+
+
+@pytest.mark.parametrize("q", sorted(BIG_FIELD_PINS))
+def test_big_field_scans_keep_their_pinned_values(monkeypatch, q):
+    # no shape memo from GF(9) up at 2x3, or from GF(256) up at 2x2: these
+    # closures take the memo-free loop over the determinant's zeros, and
+    # the 2x2 rank scans solve the same kind of form
+    f = field_from_order(q)
+    rng = random.Random(q)
+    spaces = [_random_space(f, dim_u, 2, n, rng) for dim_u, n in BIG_FIELD_SHAPES]
+    spaces += [_nonreflexive_pair(f, rng), _diagonal_pair(f, rng)]
+    for space, (closure, scan) in zip(spaces, BIG_FIELD_PINS[q], strict=True):
+        if closure is None:
+            with pytest.raises(GuardExceeded):
+                space.reflexive_closure()
+        else:
+            got = space.reflexive_closure()
+            digest = hashlib.sha256(repr(got.canonical_basis()).encode()).hexdigest()
+            assert (got.n, digest[:12]) == closure
+        if scan == "guard":
+            with pytest.raises(GuardExceeded):
+                space.mrk()
+        elif scan is not None:
+            dist, best, witness = space._rank_scan()
+            assert (list(dist.items()), best, witness) == scan
+            assert space.mrk() == (best, witness)
+        if space.dim_u == 2 and space.n == 2 and q <= 512:
+            check_determinant_scan(space)
+            # the memo-free closure reduces exactly the determinant's
+            # zeros, up to its early exit
+            reached = []
+            conditions = opspace._point_conditions
+            with monkeypatch.context() as m:
+                m.setattr(opspace, "_point_conditions", lambda field, x, v, images: (
+                    reached.append(x), conditions(field, x, v, images))[1])
+                kept = closure_system(f, 2, 2, space.canonical_basis())
+            f1, f2 = (Matrix(f, 2, 2, fk) for fk in space.canonical_basis())
+            zeros = [x for x in iter_projective(q, 2) if f.mul(f1.apply(x)[0], f2.apply(x)[1])
+                     == f.mul(f1.apply(x)[1], f2.apply(x)[0])]
+            assert reached == zeros[:len(reached)]
+            assert len(kept) == 2 or reached == zeros
 
 
 def test_projective_cache_keeps_what_fits_in_order(monkeypatch):

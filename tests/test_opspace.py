@@ -228,6 +228,26 @@ def test_lld_examples(monkeypatch):
     assert not span_im().is_lld()
 
 
+@pytest.mark.parametrize("q,dim_u,dim_v,n,population", [
+    (2, 3, 1, 2, 7), (2, 2, 2, 3, 15), (3, 2, 2, 3, 40), (2, 3, 2, 3, 1395)])
+def test_more_members_than_rows_is_lld_without_a_walk(monkeypatch, q, dim_u, dim_v,
+                                                      n, population):
+    # n > dim_v: dim S(x) <= dim_v < n at every x, so S is LLD, as the walk
+    # over the points finds on every space of these slices
+    f = field_from_order(q)
+    spaces = [OperatorSpace(f, dim_u, dim_v, [Matrix(f, dim_v, dim_u, r) for r in rows])
+              for rows in enumerate_subspaces(q, dim_u * dim_v, n)]
+    assert len(spaces) == population
+    points = list(iter_projective(q, dim_u))
+    assert all(len(s.eval_space(x)) < n for s in spaces for x in points)
+    # is_lld reduces no S(x), and its guard still comes first
+    monkeypatch.setattr(OperatorSpace, "eval_space", None)
+    assert all(s.is_lld() for s in spaces)
+    monkeypatch.setenv("REFLEXFF_GUARD", str(len(points) - 1))
+    with pytest.raises(GuardExceeded, match="local dependence"):
+        spaces[0].is_lld()
+
+
 def extended(s, g):
     """S + span{g} for a map g outside S."""
     return OperatorSpace(s.field, s.dim_u, s.dim_v, s.basis + (g,))
